@@ -357,10 +357,33 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _attach_negative_eps(argv: Sequence[str]) -> list[str]:
+    """Rewrite ``--eps -1e-05`` as ``--eps=-1e-05``.
+
+    argparse reads a token that starts with "-" as an option unless it looks
+    like a plain negative decimal, so a value in scientific notation such as
+    ``-1e-05`` would otherwise leave ``--eps`` without its argument.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--eps" and tok.startswith("-"):
+            try:
+                float(tok)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"--eps={tok}"
+                continue
+        out.append(tok)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_eps(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -157,8 +157,11 @@ def write_csv(ds: Dataset, path: str) -> None:
 def normalize(ds: Dataset) -> Dataset:
     """Min-max rescale every attribute column to [0, 1].
 
-    Constant columns map to 0. Raises on an empty dataset because the
-    column extremes are undefined there.
+    Constant columns map to 0. The map is strictly increasing per column:
+    distinct values stay distinct even where the division rounds or
+    underflows them together, so dominance between tuples is unchanged.
+    Raises on an empty dataset because the column extremes are undefined
+    there.
     """
     if len(ds) == 0:
         raise ValueError("cannot normalize an empty dataset")
@@ -168,10 +171,37 @@ def normalize(ds: Dataset) -> Dataset:
     out = np.zeros_like(a)
     pos = span > 0
     out[:, pos] = (a[:, pos] - lo[pos]) / span[pos]
+    for j in np.flatnonzero(pos):
+        out[:, j] = _separate(a[:, j], out[:, j])
     tuples = tuple(
         Tuple(t.id, tuple(float(x) for x in row)) for t, row in zip(ds.tuples, out)
     )
     return Dataset(ds.schema, tuples, normalized=True)
+
+
+def _separate(col: np.ndarray, scaled: np.ndarray) -> np.ndarray:
+    """``scaled`` with values of distinct ``col`` entries pulled apart.
+
+    Scaling is monotone, so it can only merge neighbours in sorted order.
+    Each merged value moves up to the next float above its predecessor; if
+    that pushes past the column maximum, which scales to exactly 1, the top
+    of the column moves down instead.
+    """
+    values, inverse = np.unique(col, return_inverse=True)
+    at = np.zeros(len(values), dtype=np.intp)
+    at[inverse] = np.arange(len(col))
+    mapped = scaled[at]
+    merged = np.flatnonzero(np.diff(mapped) <= 0.0)
+    if not len(merged):
+        return scaled
+    for i in range(int(merged[0]) + 1, len(mapped)):
+        if mapped[i] <= mapped[i - 1]:
+            mapped[i] = np.nextafter(mapped[i - 1], np.inf)
+    mapped[-1] = 1.0
+    for i in range(len(mapped) - 2, -1, -1):
+        if mapped[i] >= mapped[i + 1]:
+            mapped[i] = np.nextafter(mapped[i + 1], -np.inf)
+    return mapped[inverse]
 
 
 def generate(dist: str, n: int, d: int, seed: int) -> Dataset:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .arrangement import dominator_counts
 from .dataset import Dataset, Tuple
 from .queries import skyline
 from .regions import (
@@ -97,6 +98,12 @@ def nd(ds: Dataset, reg: WeightRegion) -> set[str]:
 
     sky = skyline(ds)
     sky_pos = [i for i, t in enumerate(ds.tuples) if t.id in sky]
+
+    if reg.dim == 2:
+        # the predicate non_rho_dominated uses, so the two agree on balls
+        lo, hi = region_interval_d2(reg)
+        counts = dominator_counts(ds.attr_array(), lo, hi, DOM_TOL, np.array(sky_pos))
+        return {t.id for t, c in zip(ds.tuples, counts) if c == 0}
 
     if support is not None:
         a = ds.attr_array()

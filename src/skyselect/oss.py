@@ -10,6 +10,13 @@ the least radius whose result reaches the requested size m:
 
 Growing the ball only shrinks dominance and only grows reachability, so both
 cardinalities are non-decreasing in rho and the search is well posed.
+
+In two dimensions the ball is an interval of w1 and both searches are exact
+(see :mod:`.arrangement`): every tuple's radius of entry has a closed form,
+the least radius is an order statistic of those, and ``rho_star`` is the
+exact infimum; the answer is the result at any radius just above it. In
+three or more dimensions ``rho_star`` is the midpoint of a bisection
+bracket of width ``RHO_TOL``.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import arrangement
 from .dataset import Dataset, Tuple
 from .queries import check_weights
 from .regions import ball_region, exists_weak_optimum, grid_sample, region_interval_d2
@@ -28,6 +36,7 @@ from .flexible import DOM_TOL, f_dominates
 RHO_MAX = math.sqrt(2.0)
 RHO_TOL = 1e-6
 _RADIUS_GROUP = 1e-5  # entry radii closer than the search tolerance tie
+RADIUS_TIE = 1e-12  # exact 2-d entry radii this close (chained) tie
 
 
 class UnreachableSizeError(ValueError):
@@ -65,17 +74,6 @@ def _dominator_counts(ds: Dataset, w: np.ndarray, rho: float) -> np.ndarray:
     n = len(ds)
     if n == 0:
         return np.zeros(0, dtype=int)
-    if ds.dim == 2:
-        lo, hi = region_interval_d2(ball_region(tuple(w), rho))
-        a = ds.attr_array()
-        p_lo = a @ np.array([lo, 1.0 - lo])
-        p_hi = a @ np.array([hi, 1.0 - hi])
-        d_lo = p_lo[:, None] - p_lo[None, :]
-        d_hi = p_hi[:, None] - p_hi[None, :]
-        mx = np.maximum(d_lo, d_hi)
-        mn = np.minimum(d_lo, d_hi)
-        dom = (mx <= DOM_TOL) & (mn < -DOM_TOL)
-        return dom.sum(axis=0)
     reg = ball_region(tuple(w), rho)
     counts = np.zeros(n, dtype=int)
     for j, t in enumerate(ds.tuples):
@@ -94,7 +92,11 @@ def non_rho_dominated(
         raise ValueError("rho must be >= 0")
     if k_depth < 1:
         raise ValueError("k_depth must be >= 1")
-    counts = _dominator_counts(ds, wv, rho)
+    if ds.dim == 2:
+        lo, hi = region_interval_d2(ball_region(tuple(wv), rho))
+        counts = arrangement.dominator_counts(ds.attr_array(), lo, hi, DOM_TOL)
+    else:
+        counts = _dominator_counts(ds, wv, rho)
     return {t.id for t, c in zip(ds.tuples, counts) if c < k_depth}
 
 
@@ -119,6 +121,60 @@ def _bisect_least_radius(count_at, m: int) -> tuple[float, float]:
     return 0.5 * (lo + hi), hi
 
 
+def _tie_groups(radii: np.ndarray) -> np.ndarray:
+    """Group number of each of a sorted array of exact 2-d radii.
+
+    A radius within RADIUS_TIE of the one before it joins that one's group:
+    the closed forms round, so radii that are equal in exact arithmetic can
+    differ in the last bits, and such radii count as one.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf: unreachable tuples
+        return np.concatenate(([0], np.cumsum(np.diff(radii) > RADIUS_TIE)))
+
+
+def _least_radius_d2(ds: Dataset, w: np.ndarray, m: int, k_depth: int):
+    """Exact 2-d ord search: (rho_star, survivors at a radius just above it).
+
+    Works in the half-width h of the ball interval; rho = RHO_MAX * h, since
+    RHO_MAX is sqrt 2. The survivor count is constant on h = 0 and between
+    consecutive span ends of :func:`arrangement.survival_spans`, so the
+    least radius reaching m is the first end after which m survive. The
+    survivor set is then certified by one evaluation of the dominance
+    predicate past that end's tie group; should rounding put the predicate
+    on the other side of an end, the next group is tried, and finally the
+    full simplex.
+    """
+    w1 = float(w[0])
+    x, y = arrangement.survival_spans(ds.attr_array(), w1, k_depth, DOM_TOL)
+    ends = np.unique(np.concatenate(([0.0], x[x >= 0.0], y[np.isfinite(y)])))
+    # survivors just above each end: spans with x <= end < y
+    alive = np.searchsorted(np.sort(x), ends, "right")
+    alive -= np.searchsorted(np.sort(y), ends, "right")
+    group = _tie_groups(RHO_MAX * ends)
+    last = np.searchsorted(group, group, "right") - 1  # last end of each group
+    beyond = np.append(ends[1:], max(w1, 1.0 - w1))  # the full simplex past the last
+    reached = np.flatnonzero(alive >= m)
+
+    def tries():
+        """(h_star, half-width to certify at), in the order to try them."""
+        if int((x < 0.0).sum()) >= m:
+            yield 0.0, 0.0
+        i = int(reached[0]) if len(reached) else len(ends)
+        while i < len(ends):
+            j = int(last[i])
+            yield float(ends[i]), 0.5 * (ends[j] + beyond[j])
+            i = j + 1
+
+    for h_star, h_at in tries():
+        survivors = non_rho_dominated(ds, tuple(w), RHO_MAX * h_at, k_depth)
+        if len(survivors) >= m:
+            return RHO_MAX * h_star, survivors
+    survivors = non_rho_dominated(ds, tuple(w), RHO_MAX, k_depth)
+    if len(survivors) < m:
+        raise UnreachableSizeError(m, len(survivors))
+    return RHO_MAX, survivors
+
+
 def ord_query(ds: Dataset, w: Sequence[float], m: int, k_depth: int = 1) -> OssResult:
     """Least-radius ball-undominated set truncated to exactly m ids.
 
@@ -134,6 +190,11 @@ def ord_query(ds: Dataset, w: Sequence[float], m: int, k_depth: int = 1) -> OssR
     if k_depth < 1:
         raise ValueError("k_depth must be >= 1")
 
+    if ds.dim == 2:
+        rho_star, survivors = _least_radius_d2(ds, wv, m, k_depth)
+        ranked = _rank_by_score(ds, wv, survivors)[:m]
+        return OssResult(tuple(ranked), rho_star, k_depth)
+
     def count_at(rho: float) -> int:
         return int((_dominator_counts(ds, wv, rho) < k_depth).sum())
 
@@ -147,40 +208,6 @@ def ord_query(ds: Dataset, w: Sequence[float], m: int, k_depth: int = 1) -> OssR
     survivors = non_rho_dominated(ds, tuple(wv), at, k_depth)
     ranked = _rank_by_score(ds, wv, survivors)[:m]
     return OssResult(tuple(ranked), rho_star, k_depth)
-
-
-def _member_d2(a: np.ndarray, i: int, w: np.ndarray, rho: float, k_depth: int) -> bool:
-    """Exact 2-d membership: beaten by fewer than k_depth rivals somewhere.
-
-    A rival beats the tuple at v when its score is <= the tuple's. The beaten
-    count is piecewise constant between pairwise breakpoints, and boundary
-    points never beat the adjacent open cells, so scanning cell midpoints
-    finds the minimum.
-    """
-    lo, hi = region_interval_d2(ball_region(tuple(w), rho))
-    rows = []
-    for j in range(a.shape[0]):
-        if j != i and not np.array_equal(a[j], a[i]):
-            rows.append(a[j] - a[i])
-    if not rows:
-        return True
-    diffs = np.array(rows)  # rival minus target; beaten when diff . v <= 0
-    alphas = diffs[:, 0] - diffs[:, 1]
-    betas = diffs[:, 1]
-    if hi - lo <= 1e-15:
-        return int((alphas * lo + betas <= 0.0).sum()) < k_depth
-    cuts = [lo, hi]
-    for alpha, beta in zip(alphas, betas):
-        if abs(alpha) > 1e-15:
-            t = -beta / alpha
-            if lo < t < hi:
-                cuts.append(float(t))
-    cuts.sort()
-    for left, right in zip(cuts, cuts[1:]):
-        mid = 0.5 * (left + right)
-        if int((alphas * mid + betas <= 0.0).sum()) < k_depth:
-            return True
-    return False
 
 
 def _member_general(ds: Dataset, i: int, w: np.ndarray, rho: float, k_depth: int) -> bool:
@@ -204,16 +231,52 @@ def _member_general(ds: Dataset, i: int, w: np.ndarray, rho: float, k_depth: int
 
 
 def _membership(ds: Dataset, w: np.ndarray, rho: float, k_depth: int) -> set[str]:
-    a = ds.attr_array()
-    out: set[str] = set()
-    for i, t in enumerate(ds.tuples):
-        if ds.dim == 2:
-            member = _member_d2(a, i, w, rho, k_depth)
+    if ds.dim == 2:
+        # exact: beaten by fewer than k_depth rivals on an open cell of the
+        # ball interval, or at its single point when it has no width
+        a = ds.attr_array()
+        lo, hi = region_interval_d2(ball_region(tuple(w), rho))
+        if hi - lo <= 1e-15:
+            member = arrangement.beaten_below(a, lo, k_depth)
         else:
-            member = _member_general(ds, i, w, rho, k_depth)
-        if member:
-            out.add(t.id)
-    return out
+            left, right = arrangement.reach(a, float(w[0]), k_depth)
+            member = (left > lo) | (right < hi)
+        return {t.id for t, keep in zip(ds.tuples, member) if keep}
+    return {
+        t.id for i, t in enumerate(ds.tuples) if _member_general(ds, i, w, rho, k_depth)
+    }
+
+
+def _oru_d2(ds: Dataset, w: np.ndarray, m: int, k_depth: int) -> OssResult:
+    """Exact 2-d oru, working in the half-width h of the ball interval.
+
+    A tuple that is no member at w enters at the distance from w1 to its
+    nearest good cell (see :func:`arrangement.reach`) and is a member at
+    every larger half-width, so the least half-width reaching m members is
+    the m-th smallest entry and rho_star is RHO_MAX (sqrt 2) times it.
+    """
+    at_w = _membership(ds, w, 0.0, k_depth)
+    if len(at_w) >= m:
+        return OssResult(tuple(_rank_by_score(ds, w, at_w)[:m]), 0.0, k_depth)
+    w1 = float(w[0])
+    left, right = arrangement.reach(ds.attr_array(), w1, k_depth)
+    entry = np.minimum(w1 - left, right - w1)
+    ids = ds.ids()
+    entry[[i for i, tid in enumerate(ids) if tid in at_w]] = 0.0
+    order = np.argsort(entry, kind="stable")
+    h_star = float(entry[order[m - 1]])
+    if not np.isfinite(h_star):
+        raise UnreachableSizeError(m, int(np.isfinite(entry).sum()))
+    # members: every tuple entering by the end of h_star's tie group
+    group = _tie_groups(RHO_MAX * entry[order])
+    chosen = order[group <= group[m - 1]]
+    if len(chosen) <= m:
+        members = {ids[i] for i in chosen}
+        return OssResult(tuple(_rank_by_score(ds, w, members)[:m]), RHO_MAX * h_star, k_depth)
+    # overshoot: rank by entry radius, tied radii by score at w, then id
+    a = ds.attr_array()
+    keyed = sorted((int(g), float(a[i] @ w), ids[i]) for g, i in zip(group, chosen))
+    return OssResult(tuple(tid for _, _, tid in keyed[:m]), RHO_MAX * h_star, k_depth)
 
 
 def oru_query(ds: Dataset, w: Sequence[float], m: int, k_depth: int = 1) -> OssResult:
@@ -221,8 +284,11 @@ def oru_query(ds: Dataset, w: Sequence[float], m: int, k_depth: int = 1) -> OssR
 
     When the membership count jumps past m, survivors are ranked by their
     individual entry radius (the least rho at which they become reachable),
-    then score at w, then id. Raises :class:`UnreachableSizeError` when the
-    full simplex cannot reach m members, reporting the maximum achievable.
+    then score at w, then id. In two dimensions entry radii are exact and
+    radii within ``RADIUS_TIE`` of each other tie; in three or more they are
+    bisected to ``RHO_TOL`` and grouped at ``_RADIUS_GROUP``. Raises
+    :class:`UnreachableSizeError` when the full simplex cannot reach m
+    members, reporting the maximum achievable.
     """
     wv = check_weights(w, ds.dim)
     n = len(ds)
@@ -230,6 +296,8 @@ def oru_query(ds: Dataset, w: Sequence[float], m: int, k_depth: int = 1) -> OssR
         raise ValueError("m must satisfy 1 <= m <= n")
     if k_depth < 1:
         raise ValueError("k_depth must be >= 1")
+    if ds.dim == 2:
+        return _oru_d2(ds, wv, m, k_depth)
 
     def members_at(rho: float) -> set[str]:
         return _membership(ds, wv, rho, k_depth)
@@ -253,10 +321,7 @@ def oru_query(ds: Dataset, w: Sequence[float], m: int, k_depth: int = 1) -> OssR
     keyed = []
     for tid in members:
         i = idx_of[tid]
-        if ds.dim == 2:
-            member_fn = lambda r, i=i: _member_d2(a, i, wv, r, k_depth)
-        else:
-            member_fn = lambda r, i=i: _member_general(ds, i, wv, r, k_depth)
+        member_fn = lambda r, i=i: _member_general(ds, i, wv, r, k_depth)
         if member_fn(0.0):
             entry = 0.0
         else:

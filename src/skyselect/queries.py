@@ -100,10 +100,46 @@ def check_weights(w: Sequence[float], dim: int) -> np.ndarray:
     return v
 
 
-def _score_all(ds: Dataset, w: np.ndarray) -> list[float]:
-    a = ds.attr_array()
-    # row-wise dot keeps scores identical across both top-k evaluation paths
-    return [float(a[i] @ w) for i in range(len(ds))]
+def _scores(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Scores of every row of ``a`` at one weight vector or at each of many.
+
+    ``v`` of shape (d,) gives an (n,) array; ``v`` of shape (m, d) gives an
+    (m, n) array whose row i scores against ``v[i]``. The sum of products runs
+    left to right in plain elementwise arithmetic, never through BLAS, so a
+    score does not depend on how many rows or vectors are scored together:
+    ``top_k``, ``top_k_threshold`` and the 2-d arrangement labels agree bit
+    for bit.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 1:
+        s = a[:, 0] * v[0]
+        for j in range(1, a.shape[1]):
+            s = s + a[:, j] * v[j]
+        return s
+    s = v[:, 0:1] * a[None, :, 0]
+    for j in range(1, a.shape[1]):
+        s = s + v[:, j : j + 1] * a[None, :, j]
+    return s
+
+
+def _best_k(scores: np.ndarray, ids: Sequence[str], k: int) -> np.ndarray:
+    """Column indices of the k best entries of each row of an (m, n) score matrix.
+
+    Best means ascending score, then ascending id. Only columns scoring at or
+    below some row's k-th smallest score can be chosen, so the id sort runs
+    over that pool alone; a stable sort on score over the pool, laid out in id
+    order, then breaks score ties by id. Returns an (m, min(k, n)) array.
+    """
+    m, n = scores.shape
+    k = min(k, n)
+    if k < n:
+        kth = np.partition(scores, k - 1, axis=1)[:, k - 1 : k]
+        pool = np.flatnonzero((scores <= kth).any(axis=0))
+    else:
+        pool = np.arange(n)
+    pool = np.array(sorted(pool.tolist(), key=ids.__getitem__), dtype=np.intp)
+    order = np.argsort(scores[:, pool], axis=1, kind="stable")[:, :k]
+    return pool[order]
 
 
 def top_k(ds: Dataset, w: Sequence[float], k: int) -> RankedResult:
@@ -114,10 +150,13 @@ def top_k(ds: Dataset, w: Sequence[float], k: int) -> RankedResult:
     wv = check_weights(w, ds.dim)
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores = _score_all(ds, wv)
+    n = len(ds)
+    if n == 0:
+        return RankedResult(())
+    scores = _scores(ds.attr_array(), wv)
     ids = ds.ids()
-    order = heapq.nsmallest(k, range(len(ds)), key=lambda i: (scores[i], ids[i]))
-    return RankedResult(tuple((ids[i], scores[i]) for i in order))
+    best = _best_k(scores[None, :], ids, k)[0]
+    return RankedResult(tuple((ids[i], float(scores[i])) for i in best))
 
 
 def top_k_threshold(
@@ -143,14 +182,18 @@ def top_k_threshold(
     seen: dict[int, float] = {}
     worst_of_best: list[float] = []  # max-heap (negated) of the k best scores
     for depth in range(n):
+        fresh: list[int] = []
         for col in columns:
             idx = int(col[depth])
-            if idx not in seen:
-                s = float(a[idx] @ wv)
-                seen[idx] = s
-                heapq.heappush(worst_of_best, -s)
-                if len(worst_of_best) > k:
-                    heapq.heappop(worst_of_best)
+            if idx not in seen and idx not in fresh:
+                fresh.append(idx)
+        # the rows read at this depth are scored together, by the same
+        # primitive as top_k, so both return bit-identical scores
+        for idx, s in zip(fresh, _scores(a[fresh], wv).tolist()):
+            seen[idx] = s
+            heapq.heappush(worst_of_best, -s)
+            if len(worst_of_best) > k:
+                heapq.heappop(worst_of_best)
         threshold = float(sum(wv[j] * a[columns[j][depth], j] for j in range(ds.dim)))
         if len(seen) >= k and -worst_of_best[0] < threshold - SCORE_TOL:
             break

@@ -10,7 +10,8 @@ Optimization strategy:
 * polytope regions (no ball): exact, by enumerating the vertices of the
   bounded polytope and scanning them;
 * any region in dimension 2: exact, because the region collapses to an
-  interval of the first coordinate;
+  interval of the first coordinate (the 2-d kernel in :mod:`.arrangement`
+  decides ``exists_weak_optimum`` there);
 * ball regions in dimension >= 3: numeric, by sequential quadratic
   programming seeded from alternating-projection feasible points, with an
   analytic shortcut when the ball section stays inside the positive orthant.
@@ -26,6 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import optimize
+
+from .arrangement import envelope_argmin
 
 CONTAIN_TOL = 1e-9
 STRICT_MARGIN = 1e-12
@@ -469,36 +472,6 @@ def _interior_point(reg: WeightRegion) -> np.ndarray:
         return np.full(reg.dim, 1.0 / reg.dim)
 
 
-def _exists_scan_d2(reg: WeightRegion, diffs: np.ndarray) -> tuple[float, np.ndarray]:
-    """Exact min of max(diffs . v) over a 2-d region.
-
-    The max of linear functions is convex piecewise linear in the interval
-    coordinate, so the minimum sits at an endpoint or at a crossing of two
-    gap lines.
-    """
-    lo, hi = region_interval_d2(reg)
-    alphas = diffs[:, 0] - diffs[:, 1]
-    betas = diffs[:, 1]
-    cand = [lo, hi]
-    m = diffs.shape[0]
-    for i in range(m):
-        for j in range(i + 1, m):
-            den = alphas[i] - alphas[j]
-            if abs(den) <= 1e-15:
-                continue
-            t = (betas[j] - betas[i]) / den
-            if lo < t < hi:
-                cand.append(float(t))
-    best_val = math.inf
-    best_t = lo
-    for t in cand:
-        g = float(np.max(alphas * t + betas))
-        if g < best_val:
-            best_val = g
-            best_t = t
-    return best_val, np.array([best_t, 1.0 - best_t])
-
-
 def _exists_numeric_ball(reg: WeightRegion, diffs: np.ndarray) -> tuple[float, np.ndarray]:
     ball = reg.ball
     assert ball is not None
@@ -612,14 +585,14 @@ def exists_weak_optimum(
 
     # cheap witness scan before any solver runs
     candidates: list[np.ndarray] = []
-    if reg.ball is None:
-        verts = region_vertices(reg)
-        candidates.extend(verts)
-        candidates.append(verts.mean(axis=0))
-    elif reg.dim == 2:
+    if reg.dim == 2:
         lo, hi = region_interval_d2(reg)
         for tt in (lo, 0.5 * (lo + hi), hi):
             candidates.append(np.array([tt, 1.0 - tt]))
+    elif reg.ball is None:
+        verts = region_vertices(reg)
+        candidates.extend(verts)
+        candidates.append(verts.mean(axis=0))
     else:
         fp = find_feasible_point(reg)
         if fp is None:
@@ -636,7 +609,14 @@ def exists_weak_optimum(
         if ok:
             return True, witness
 
-    if reg.ball is None:
+    if reg.dim == 2:
+        # exact: the max of the gap lines is convex in the first weight
+        tt = envelope_argmin(diffs[:, 0] - diffs[:, 1], diffs[:, 1], lo, hi)
+        x = np.array([tt, 1.0 - tt])
+        val = float(np.max(diffs @ x))
+        if val < best_val:
+            best_val, best_x = val, x
+    elif reg.ball is None:
         d = reg.dim
         m = diffs.shape[0]
         a_ub = [np.append(diffs[i], -1.0) for i in range(m)]
@@ -660,10 +640,6 @@ def exists_weak_optimum(
             val = float(np.max(diffs @ x))
             if val < best_val:
                 best_val, best_x = val, x
-    elif reg.dim == 2:
-        val, x = _exists_scan_d2(reg, diffs)
-        if val < best_val:
-            best_val, best_x = val, x
     else:
         val, x = _exists_numeric_ball(reg, diffs)
         if val < best_val:

@@ -3,7 +3,9 @@
 ``utk2`` partitions the region into cells that share a top-k set; ``utk1``
 returns the union of those sets. Two-dimensional regions reduce to an
 interval of the first weight, where consecutive pairwise order breakpoints
-bound cells with a constant ranking, so the partition is exact. Three and
+bound cells with a constant ranking, so the partition is exact; the
+breakpoints and the top-k label of every cell come from
+:mod:`.arrangement`, with the scoring and tie-break of ``top_k``. Three and
 four dimensions fall back to labelling a deterministic sample cloud, and the
 results are flagged as approximate.
 """
@@ -14,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import arrangement
 from .dataset import Dataset
 from .queries import top_k
 from .regions import (
@@ -72,23 +75,7 @@ def order_breakpoints(ds: Dataset, region: WeightRegion) -> list[float]:
     if ds.dim != 2:
         raise UnsupportedDimensionError("order breakpoints need 2 dimensions")
     lo, hi = region_interval_d2(region)
-    a = ds.attr_array()
-    roots: list[float] = []
-    n = len(ds)
-    for i in range(n):
-        for j in range(i + 1, n):
-            den = (a[i, 0] - a[j, 0]) - (a[i, 1] - a[j, 1])
-            if abs(den) <= 1e-12:
-                continue
-            root = (a[j, 1] - a[i, 1]) / den
-            if lo + 1e-12 < root < hi - 1e-12:
-                roots.append(float(root))
-    roots.sort()
-    deduped: list[float] = []
-    for r in roots:
-        if not deduped or r - deduped[-1] > BREAK_DEDUP:
-            deduped.append(r)
-    return deduped
+    return arrangement.breakpoints(ds.attr_array(), lo, hi, BREAK_DEDUP)
 
 
 def _label_at(ds: Dataset, k: int, v: np.ndarray, ordered: bool):
@@ -100,17 +87,23 @@ def _label_at(ds: Dataset, k: int, v: np.ndarray, ordered: bool):
 def _utk2_interval(ds: Dataset, k: int, region: WeightRegion, ordered: bool):
     lo, hi = region_interval_d2(region)
     if hi - lo <= 1e-15:
-        v = np.array([lo, 1.0 - lo])
-        return [(lo, hi, _label_at(ds, k, v, ordered))]
-    cuts = [lo] + order_breakpoints(ds, region) + [hi]
+        cuts = np.array([lo, hi])
+        mids = np.array([lo])
+    else:
+        cuts = np.array([lo] + order_breakpoints(ds, region) + [hi])
+        mids = 0.5 * (cuts[:-1] + cuts[1:])
+    ids = ds.ids()
+    labels = arrangement.cell_labels(ds.attr_array(), ids, k, mids)
+    # neighbouring cells with the same label merge
+    key = labels if ordered else np.sort(labels, axis=1)
+    change = np.flatnonzero((key[1:] != key[:-1]).any(axis=1)) + 1
+    starts = np.concatenate(([0], change))
+    ends = np.append(change, len(mids))
     cells = []
-    for left, right in zip(cuts, cuts[1:]):
-        mid = 0.5 * (left + right)
-        label = _label_at(ds, k, np.array([mid, 1.0 - mid]), ordered)
-        if cells and cells[-1][2] == label:
-            cells[-1] = (cells[-1][0], right, label)
-        else:
-            cells.append((left, right, label))
+    for first, stop in zip(starts, ends):
+        row = [ids[i] for i in labels[first]]
+        label = tuple(row) if ordered else frozenset(row)
+        cells.append((float(cuts[first]), float(cuts[stop]), label))
     return cells
 
 

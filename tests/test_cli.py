@@ -153,6 +153,18 @@ def test_query_eskyline_normalize(capsys, d1_csv):
     assert code == 3
 
 
+def test_negative_eps_in_scientific_notation(capsys, d1_csv):
+    # argparse would take "-1e-05" for an option and leave --eps without a value
+    for command in (
+        ["query", "eskyline", "--data", d1_csv, "--weights", "0.5,0.5", "--normalize"],
+        ["compare", "--data", d1_csv],
+    ):
+        code, spaced, err = run(capsys, *command, "--eps", "-1e-05")
+        assert code == 0, err
+        code, joined, _ = run(capsys, *command, "--eps=-1e-05")
+        assert code == 0 and spaced == joined
+
+
 def test_query_repdist_modes(capsys, d1_csv):
     code, out, _ = run(capsys, "query", "repdist", "--data", d1_csv, "--k", "2")
     assert code == 0 and out == "b,a\n"

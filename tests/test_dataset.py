@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from skyselect import (
@@ -159,6 +159,7 @@ def test_generate_pure(n, d, seed, dist):
         max_size=12,
     )
 )
+@example(rows=[[0.0, 2.0], [0.0, 5e-324], [1.0, 0.0]])  # 5e-324 / 2 underflows to 0
 def test_normalize_bounds_and_dominance(rows):
     ds = Dataset(
         ("a1", "a2"),
