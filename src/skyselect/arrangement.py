@@ -9,8 +9,9 @@ below therefore work in the half-width h = rho/sqrt2 of that interval.
 
 The kernel answers five questions about this arrangement of lines:
 
-* endpoint dominance on an interval (:func:`dominator_counts`), shared by
-  ``nd``, ``non_rho_dominated`` and the ``ord`` certificate;
+* dominance over the ends of an interval (:func:`dominator_counts`), shared
+  by ``nd``, ``non_rho_dominated`` and the ``ord`` certificate; the same
+  predicate serves ``nd`` over a polytope's vertices in any dimension;
 * the half-widths at which each tuple is dominated by fewer than k others
   (:func:`survival_spans`), which make the least ``ord`` radius an order
   statistic;
@@ -52,27 +53,43 @@ def _at(t: float) -> np.ndarray:
 
 
 def dominator_counts(
-    a: np.ndarray, lo: float, hi: float, tol: float, dominators: np.ndarray | None = None
+    scores: np.ndarray, tol: float, dominators: np.ndarray | None = None
 ) -> np.ndarray:
-    """For each tuple j, how many tuples i dominate it on the interval [lo, hi].
+    """For each tuple j, how many tuples i dominate it over a finite support set.
 
-    With D = s_i - s_j, i dominates j when D <= tol at both ends and
-    D < -tol at one of them. ``dominators`` restricts the candidate i's to
-    the given row indices.
+    ``scores`` is (n, s): each tuple's score at the s support points, such as
+    the two ends of an interval or the vertices of a polytope in any
+    dimension. With D = score_i - score_j, i dominates j when D <= tol at
+    every support point and D < -tol at one of them. ``dominators``
+    restricts the candidate i's to the given row indices.
     """
-    n = a.shape[0]
-    p_lo, p_hi = _scores(a, np.stack([_at(lo), _at(hi)]))
-    if dominators is None:
-        q_lo, q_hi = p_lo, p_hi
-    else:
-        q_lo, q_hi = p_lo[dominators], p_hi[dominators]
+    n = scores.shape[0]
+    q = scores if dominators is None else scores[dominators]
     counts = np.zeros(n, dtype=int)
-    for cols in _blocks(len(q_lo), n):
-        d_lo = q_lo[:, None] - p_lo[None, cols]
-        d_hi = q_hi[:, None] - p_hi[None, cols]
-        dom = (np.maximum(d_lo, d_hi) <= tol) & (np.minimum(d_lo, d_hi) < -tol)
-        counts[cols] = dom.sum(axis=0)
+    for cols in _blocks(len(q), n):
+        hi = lo = q[:, None, 0] - scores[None, cols, 0]
+        for c in range(1, scores.shape[1]):
+            diff = q[:, None, c] - scores[None, cols, c]
+            hi, lo = np.maximum(hi, diff), np.minimum(lo, diff)
+        counts[cols] = ((hi <= tol) & (lo < -tol)).sum(axis=0)
     return counts
+
+
+def _rise_past(d_w: np.ndarray, s: np.ndarray, w1: float, tol: float) -> np.ndarray:
+    """Half-width h at which max(D) over the ball interval passes tol, elementwise.
+
+    D(t) = d_w + s (t - w1); its larger end value d_w + |s| h rises with h
+    until the simplex clips the interval on that side. Returns a negative
+    value when max(D) > tol already at h = 0 and inf when the clip comes
+    first (or s = 0 and d_w <= tol).
+    """
+    num = tol - d_w
+    # |s| times the distance from w1 to the clip on the side where D rises
+    room = np.maximum(s * (1.0 - w1), s * -w1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = num / np.abs(s)
+    np.copyto(h, np.inf, where=num >= room)
+    return h
 
 
 def _pair_spans(d_w: np.ndarray, s: np.ndarray, w1: float, tol: float):
@@ -81,23 +98,15 @@ def _pair_spans(d_w: np.ndarray, s: np.ndarray, w1: float, tol: float):
     A pair is given by D(t) = d_w + s (t - w1), the score of the dominator
     minus that of the dominated tuple. Under the :func:`dominator_counts`
     predicate on the ball interval it dominates exactly for on < h <= off:
-    the larger end value rises with h until the simplex clips that end, and
-    the smaller falls likewise, so ``off`` is where the larger end passes
-    tol (inf if it never does before the clip) and ``on`` is where the
-    smaller end passes -tol (-inf when already below at h = 0). Pairs that
-    never dominate get an empty span (on = off = -inf).
+    ``off`` is where the larger end of D passes tol, and ``on`` where the
+    smaller end passes -tol, that is where the larger end of -D passes tol
+    (-inf when already past at h = 0). Pairs that never dominate get an
+    empty span (on = off = -inf).
     """
-    rising = s > 0
-    room_up = np.where(rising, 1.0 - w1, w1)  # distance to the clip on the rising side
-    room_dn = np.where(rising, w1, 1.0 - w1)
-    flat = s == 0
-    abs_s = np.where(flat, 1.0, np.abs(s))
-    x_off = np.where(flat, np.where(d_w <= tol, np.inf, -1.0), (tol - d_w) / abs_s)
-    x_on = np.where(flat, np.where(d_w < -tol, -1.0, np.inf), (d_w + tol) / abs_s)
-    never = (x_off < 0.0) | (x_on >= room_dn)
-    off = np.where(x_off >= room_up, np.inf, x_off)
-    on = np.where(x_on < 0.0, -np.inf, x_on)
-    empty = never | (on >= off)
+    off = _rise_past(d_w, s, w1, tol)
+    on = _rise_past(-d_w, -s, w1, tol)
+    on[on < 0.0] = -np.inf
+    empty = (off < 0.0) | (on >= off)
     return np.where(empty, -np.inf, on), np.where(empty, -np.inf, off)
 
 
@@ -151,13 +160,8 @@ def survival_spans(
         rows = int(np.searchsorted(p, p[cols.stop - 1] + tol, "right"))
         d_w = p[:rows, None] - p[None, cols]
         s = slope[:rows, None] - slope[None, cols]
-        # pairs dominating at h = 0 stop where D at the rising end passes
-        # tol, or never when the clip comes first (_pair_spans, specialized)
-        num = tol - d_w
-        with np.errstate(divide="ignore", invalid="ignore"):
-            stops = num / np.abs(s)
-        stops[num >= np.maximum(s * (1.0 - w1), s * -w1)] = np.inf
-        stops[~(d_w < -tol)] = -np.inf
+        # pairs dominating from h = 0 stop where D at its rising end passes tol
+        stops = np.where(d_w < -tol, _rise_past(d_w, s, w1, tol), -np.inf)
         if k <= rows:
             kth = np.partition(stops, rows - k, axis=0)[rows - k]
         else:

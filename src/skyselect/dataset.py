@@ -185,22 +185,26 @@ def _separate(col: np.ndarray, scaled: np.ndarray) -> np.ndarray:
     Scaling is monotone, so it can only merge neighbours in sorted order.
     Each merged value moves up to the next float above its predecessor; if
     that pushes past the column maximum, which scales to exactly 1, the top
-    of the column moves down instead.
+    of the column moves down instead. Both passes touch only the merged
+    values and the runs they push.
     """
     values, inverse = np.unique(col, return_inverse=True)
     at = np.zeros(len(values), dtype=np.intp)
     at[inverse] = np.arange(len(col))
     mapped = scaled[at]
-    merged = np.flatnonzero(np.diff(mapped) <= 0.0)
+    merged = np.flatnonzero(np.diff(mapped) <= 0.0) + 1
     if not len(merged):
         return scaled
-    for i in range(int(merged[0]) + 1, len(mapped)):
-        if mapped[i] <= mapped[i - 1]:
+    for i in merged.tolist():
+        while i < len(mapped) and mapped[i] <= mapped[i - 1]:
             mapped[i] = np.nextafter(mapped[i - 1], np.inf)
-    mapped[-1] = 1.0
-    for i in range(len(mapped) - 2, -1, -1):
-        if mapped[i] >= mapped[i + 1]:
+            i += 1
+    if mapped[-1] > 1.0:
+        mapped[-1] = 1.0
+        i = len(mapped) - 2
+        while i >= 0 and mapped[i] >= mapped[i + 1]:
             mapped[i] = np.nextafter(mapped[i + 1], -np.inf)
+            i -= 1
     return mapped[inverse]
 
 

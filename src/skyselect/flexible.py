@@ -99,26 +99,12 @@ def nd(ds: Dataset, reg: WeightRegion) -> set[str]:
     sky = skyline(ds)
     sky_pos = [i for i, t in enumerate(ds.tuples) if t.id in sky]
 
-    if reg.dim == 2:
+    if support is not None:
         # the predicate non_rho_dominated uses, so the two agree on balls
-        lo, hi = region_interval_d2(reg)
-        counts = dominator_counts(ds.attr_array(), lo, hi, DOM_TOL, np.array(sky_pos))
+        counts = dominator_counts(ds.attr_array() @ support.T, DOM_TOL, np.array(sky_pos))
         return {t.id for t, c in zip(ds.tuples, counts) if c == 0}
 
-    if support is not None:
-        a = ds.attr_array()
-        scores = a @ support.T  # (n, num support points)
-        out: set[str] = set()
-        sky_scores = scores[sky_pos]
-        for i in range(n):
-            diff = sky_scores - scores[i]  # dominator score minus candidate score
-            mx = diff.max(axis=1)
-            mn = diff.min(axis=1)
-            if not ((mx <= DOM_TOL) & (mn < -DOM_TOL)).any():
-                out.add(ds.tuples[i].id)
-        return out
-
-    out = set()
+    out: set[str] = set()
     for i, t in enumerate(ds.tuples):
         dominated = False
         for j in sky_pos:

@@ -31,7 +31,7 @@ from . import arrangement
 from .dataset import Dataset, Tuple
 from .queries import check_weights
 from .regions import ball_region, exists_weak_optimum, grid_sample, region_interval_d2
-from .flexible import DOM_TOL, f_dominates
+from .flexible import DOM_TOL, _support_points, f_dominates
 
 RHO_MAX = math.sqrt(2.0)
 RHO_TOL = 1e-6
@@ -93,8 +93,8 @@ def non_rho_dominated(
     if k_depth < 1:
         raise ValueError("k_depth must be >= 1")
     if ds.dim == 2:
-        lo, hi = region_interval_d2(ball_region(tuple(wv), rho))
-        counts = arrangement.dominator_counts(ds.attr_array(), lo, hi, DOM_TOL)
+        support = _support_points(ball_region(tuple(wv), rho))
+        counts = arrangement.dominator_counts(ds.attr_array() @ support.T, DOM_TOL)
     else:
         counts = _dominator_counts(ds, wv, rho)
     return {t.id for t, c in zip(ds.tuples, counts) if c < k_depth}
