@@ -17,18 +17,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arrangement import dominator_counts
+from .arrangement import _blocks, dominator_counts
 from .dataset import Dataset, Tuple
 from .queries import skyline
 from .regions import (
+    MAX_VERTEX_DIM,
     EmptyRegionError,
     LinearConstraint,
     WeightRegion,
     exists_weak_optimum,
     find_feasible_point,
     linear_range,
+    maximize_linear,
+    minimize_linear,
     region_interval_d2,
     region_vertices,
+    simplex_ball_range,
 )
 
 DOM_TOL = 1e-12
@@ -80,6 +84,55 @@ def _support_points(reg: WeightRegion) -> np.ndarray | None:
     return None
 
 
+def _beaten(reg: WeightRegion, diffs: np.ndarray) -> np.ndarray:
+    """Whether i region-dominates j for each pair difference c = a_i - a_j.
+
+    The predicate is max c . v <= DOM_TOL and min c . v < -DOM_TOL over a
+    region without a finite support set, that is a ball in d >= 3.
+    """
+    n = len(diffs)
+    if reg.dim <= MAX_VERTEX_DIM:
+        lo, hi = simplex_ball_range(diffs, reg.ball)
+        if not reg.constraints:
+            return (hi <= DOM_TOL) & (lo < -DOM_TOL)
+    else:
+        lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+    # numeric: the range over the ball alone, (lo, hi), holds the region's
+    # range, which holds c . x0 at a feasible point x0; SLSQP settles only
+    # the ends these leave open
+    at = diffs @ find_feasible_point(reg)
+    beaten = (hi <= DOM_TOL) & (at < -DOM_TOL)
+    for i in np.flatnonzero(~beaten & (at <= DOM_TOL) & (lo < -DOM_TOL) & diffs.any(axis=1)):
+        if hi[i] > DOM_TOL and maximize_linear(reg, diffs[i])[0] > DOM_TOL:
+            continue
+        beaten[i] = at[i] < -DOM_TOL or minimize_linear(reg, diffs[i])[0] < -DOM_TOL
+    return beaten
+
+
+def _dominator_counts(
+    a: np.ndarray, reg: WeightRegion, dominators: np.ndarray | None = None
+) -> np.ndarray:
+    """For each row j of ``a``, how many rows i region-dominate it.
+
+    One predicate everywhere: with (lo, hi) the range of (a_i - a_j) . v over
+    the region, i dominates j when hi <= DOM_TOL and lo < -DOM_TOL. With a
+    finite support set it is evaluated there (:func:`arrangement.
+    dominator_counts`); otherwise over blocks of pair differences
+    (:func:`_beaten`), exactly by the simplex-ball kernel when the region is
+    a ball alone. ``dominators`` restricts the candidate i's to the given
+    row indices.
+    """
+    support = _support_points(reg)
+    if support is not None:
+        return dominator_counts(a @ support.T, DOM_TOL, dominators)
+    q = a if dominators is None else a[dominators]
+    counts = np.zeros(len(a), dtype=int)
+    for cols in _blocks(len(q), len(a)):
+        diffs = (q[:, None, :] - a[None, cols, :]).reshape(-1, a.shape[1])
+        counts[cols] = _beaten(reg, diffs).reshape(len(q), -1).sum(axis=0)
+    return counts
+
+
 def nd(ds: Dataset, reg: WeightRegion) -> set[str]:
     """Ids of tuples no other tuple region-dominates.
 
@@ -92,36 +145,14 @@ def nd(ds: Dataset, reg: WeightRegion) -> set[str]:
     n = len(ds)
     if n == 0:
         return set()
-    support = _support_points(reg)
-    if support is None and find_feasible_point(reg) is None:
+    if _support_points(reg) is None and find_feasible_point(reg) is None:
         raise EmptyRegionError("empty region")
 
     sky = skyline(ds)
-    sky_pos = [i for i, t in enumerate(ds.tuples) if t.id in sky]
-
-    if support is not None:
-        # the predicate non_rho_dominated uses, so the two agree on balls
-        counts = dominator_counts(ds.attr_array() @ support.T, DOM_TOL, np.array(sky_pos))
-        return {t.id for t, c in zip(ds.tuples, counts) if c == 0}
-
-    out: set[str] = set()
-    for i, t in enumerate(ds.tuples):
-        dominated = False
-        for j in sky_pos:
-            if i == j:
-                continue
-            if f_dominates(ds.tuples[j], t, reg):
-                dominated = True
-                break
-        if not dominated:
-            out.add(t.id)
-    return out
-
-
-def _weak_dominance_matrix(scores: np.ndarray) -> np.ndarray:
-    """w[i, j] true when tuple i scores <= tuple j at every support point."""
-    diff = scores[:, None, :] - scores[None, :, :]
-    return diff.max(axis=2) <= DOM_TOL
+    sky_pos = np.array([i for i, t in enumerate(ds.tuples) if t.id in sky], dtype=int)
+    # the predicate non_rho_dominated uses, so the two agree on balls
+    counts = _dominator_counts(ds.attr_array(), reg, sky_pos)
+    return {t.id for t, c in zip(ds.tuples, counts) if c == 0}
 
 
 def po(ds: Dataset, reg: WeightRegion, strict: bool = True) -> set[str]:
@@ -144,13 +175,13 @@ def po(ds: Dataset, reg: WeightRegion, strict: bool = True) -> set[str]:
     reduced: dict[str, list[Tuple]] | None = None
     if support is not None and strict:
         scores = ds.attr_array() @ support.T
-        weak = _weak_dominance_matrix(scores)
         nd_idx = [i for i, t in enumerate(ds.tuples) if t.id in candidates]
         nd_mask = np.zeros(n, dtype=bool)
         nd_mask[nd_idx] = True
         reduced = {}
         for i in nd_idx:
-            keep = nd_mask | weak[i]
+            # rivals that score no better than i at every support point
+            keep = nd_mask | ((scores[i] - scores).max(axis=1) <= DOM_TOL)
             keep[i] = False
             reduced[ds.tuples[i].id] = [ds.tuples[j] for j in np.flatnonzero(keep)]
 

@@ -16,7 +16,9 @@ In two dimensions the ball is an interval of w1 and both searches are exact
 the least radius is an order statistic of those, and ``rho_star`` is the
 exact infimum; the answer is the result at any radius just above it. In
 three or more dimensions ``rho_star`` is the midpoint of a bisection
-bracket of width ``RHO_TOL``.
+bracket of width ``RHO_TOL``; each ``ord`` probe counts ball dominators
+exactly (:func:`regions.simplex_ball_range`), while ``oru`` membership
+there still rests on the numeric existence test.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from . import arrangement
 from .dataset import Dataset, Tuple
 from .queries import check_weights
 from .regions import ball_region, exists_weak_optimum, grid_sample, region_interval_d2
-from .flexible import DOM_TOL, _support_points, f_dominates
+from .flexible import DOM_TOL, _dominator_counts, f_dominates
 
 RHO_MAX = math.sqrt(2.0)
 RHO_TOL = 1e-6
@@ -70,19 +72,6 @@ def rho_dominates(r1: Tuple, r2: Tuple, w: Sequence[float], rho: float) -> bool:
     return f_dominates(r1, r2, ball_region(tuple(w), rho))
 
 
-def _dominator_counts(ds: Dataset, w: np.ndarray, rho: float) -> np.ndarray:
-    n = len(ds)
-    if n == 0:
-        return np.zeros(0, dtype=int)
-    reg = ball_region(tuple(w), rho)
-    counts = np.zeros(n, dtype=int)
-    for j, t in enumerate(ds.tuples):
-        for i, s in enumerate(ds.tuples):
-            if i != j and f_dominates(s, t, reg):
-                counts[j] += 1
-    return counts
-
-
 def non_rho_dominated(
     ds: Dataset, w: Sequence[float], rho: float, k_depth: int = 1
 ) -> set[str]:
@@ -92,11 +81,7 @@ def non_rho_dominated(
         raise ValueError("rho must be >= 0")
     if k_depth < 1:
         raise ValueError("k_depth must be >= 1")
-    if ds.dim == 2:
-        support = _support_points(ball_region(tuple(wv), rho))
-        counts = arrangement.dominator_counts(ds.attr_array() @ support.T, DOM_TOL)
-    else:
-        counts = _dominator_counts(ds, wv, rho)
+    counts = _dominator_counts(ds.attr_array(), ball_region(tuple(wv), rho))
     return {t.id for t, c in zip(ds.tuples, counts) if c < k_depth}
 
 
@@ -195,8 +180,10 @@ def ord_query(ds: Dataset, w: Sequence[float], m: int, k_depth: int = 1) -> OssR
         ranked = _rank_by_score(ds, wv, survivors)[:m]
         return OssResult(tuple(ranked), rho_star, k_depth)
 
+    a = ds.attr_array()
+
     def count_at(rho: float) -> int:
-        return int((_dominator_counts(ds, wv, rho) < k_depth).sum())
+        return int((_dominator_counts(a, ball_region(tuple(wv), rho)) < k_depth).sum())
 
     if count_at(0.0) >= m:
         rho_star, at = 0.0, 0.0

@@ -12,9 +12,18 @@ Optimization strategy:
 * any region in dimension 2: exact, because the region collapses to an
   interval of the first coordinate (the 2-d kernel in :mod:`.arrangement`
   decides ``exists_weak_optimum`` there);
-* ball regions in dimension >= 3: numeric, by sequential quadratic
-  programming seeded from alternating-projection feasible points, with an
-  analytic shortcut when the ball section stays inside the positive orthant.
+* a ball without linear constraints in any other dimension up to
+  ``MAX_VERTEX_DIM`` (simplex ∩ ball): exact, by :func:`simplex_ball_range`.
+  The optimum of ``c . v`` lies in the relative interior of some face of the
+  simplex; the ball meets that face's affine hull in a smaller ball, whose
+  minimizer has a closed form, so enumerating the 2^d - 1 faces finds it.
+  This serves ``nd``/``po`` on a ball, ``non_rho_dominated``, ``ord`` and
+  every ``linear_range`` there;
+* a ball intersected with linear constraints in dimension >= 3, or a ball
+  beyond ``MAX_VERTEX_DIM``: numeric, by sequential quadratic programming
+  seeded from alternating-projection feasible points. The existence test of
+  ``exists_weak_optimum`` on a ball (``po``, ``oru``) is numeric too, and
+  reads the solver's status.
 """
 
 from __future__ import annotations
@@ -28,13 +37,16 @@ from functools import lru_cache
 import numpy as np
 from scipy import optimize
 
-from .arrangement import envelope_argmin
+from .arrangement import _blocks, envelope_argmin
 
 CONTAIN_TOL = 1e-9
 STRICT_MARGIN = 1e-12
 VERTEX_DEDUP = 1e-9
 MAX_VERTEX_DIM = 7
 MAX_GRID_DIM = 4
+# a face candidate of the simplex-ball kernel may undershoot 0 by this much
+# from rounding; it is then clipped onto the face
+FACE_TOL = 1e-14
 
 
 class EmptyRegionError(ValueError):
@@ -302,6 +314,126 @@ def _interval_minimize(reg: WeightRegion, c: np.ndarray) -> tuple[float, np.ndar
     return float(v_hi), np.array([hi, 1.0 - hi])
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, read-only: cached results are shared by every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def _faces(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Support masks of the 2^d - 1 faces of the simplex, and each face's first index."""
+    masks = (np.arange(1, 1 << d)[:, None] >> np.arange(d)) & 1 == 1
+    return _frozen(masks, masks.argmax(axis=1))
+
+
+@lru_cache(maxsize=256)
+def _ball_sections(ball: Ball):
+    """Faces the ball reaches: their masks, first indices, section centers and radii.
+
+    The ball meets the affine hull of face F in a ball around p_F, the
+    projection of the center w onto that hull, of radius
+    r_F = sqrt(rho^2 - |w - p_F|^2); faces where r_F^2 < 0 are dropped. The
+    center is first projected onto the simplex (it may sit off it by
+    CONTAIN_TOL); then 1 - sum_F(w) >= 0, so p_F >= 0 lies in its face. A
+    radius short by no more than rounding counts as 0, so a face the ball
+    only touches keeps its one point.
+    """
+    w = _project_simplex(np.asarray(ball.center, dtype=float))
+    rho = ball.radius
+    masks, first = _faces(len(w))
+    shift = (1.0 - np.where(masks, w, 0.0).sum(axis=1)) / masks.sum(axis=1)
+    p = np.where(masks, np.maximum(w + shift[:, None], 0.0), 0.0)
+    r2 = rho * rho - ((w - p) ** 2).sum(axis=1)
+    keep = r2 >= -(1e-28 + 1e-15 * rho * rho)
+    return _frozen(masks[keep], first[keep], p[keep], np.sqrt(np.maximum(r2[keep], 0.0)))
+
+
+def _face_values(c: np.ndarray, masks, first, p, r):
+    """Per face F and row of ``c``: c . p_F, the in-plane direction c_F, |c_F|
+    and whether the candidates p_F - r_F c_F/|c_F| (min) and p_F + r_F
+    c_F/|c_F| (max) lie in F.
+
+    c_F is c on F minus its mean over F. It is formed from differences to
+    F's first coordinate, so c constant on F gives exactly c_F = 0, and then
+    both candidates are p_F. Arrays are laid out (d, faces, rows) with the
+    rows innermost; every sum runs over one row's own d entries, so a row
+    gives the same bits alone as in any block.
+    """
+    ct = np.ascontiguousarray(c.T)
+    on = masks.T[:, :, None]
+    pt = np.ascontiguousarray(p.T)[:, :, None]
+    delta = np.where(on, ct[:, None, :] - ct[first], 0.0)
+    chat = np.where(on, delta - delta.sum(axis=0) / masks.sum(axis=1)[:, None], 0.0)
+    nrm = np.sqrt((chat * chat).sum(axis=0))
+    cp = (ct[:, None, :] * pt).sum(axis=0)
+    # p_F -/+ r c_F/|c_F| >= -FACE_TOL  <=>  +/- r c_Fi / (p_Fi + FACE_TOL) <= |c_F|
+    ratio = chat / (pt + FACE_TOL)
+    low_ok = r[:, None] * ratio.max(axis=0) <= nrm
+    high_ok = -r[:, None] * ratio.min(axis=0) <= nrm
+    return cp, chat, nrm, low_ok, high_ok
+
+
+def simplex_ball_range(c: np.ndarray, ball: Ball) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (min, max) of ``c_j . v`` over simplex ∩ ball, for every row c_j of c.
+
+    The optimum lies in the relative interior of some face F, where it is the
+    optimum over the ball's section of F's affine hull: p_F -/+ r_F
+    c_F/|c_F| (see :func:`_face_values`). Each face offers that point when it
+    lies in F and p_F otherwise, so every candidate is a point of the region
+    and the best one is the optimum. Rows go in blocks, so memory stays
+    O(block * faces * d).
+    """
+    c = np.asarray(c, dtype=float)
+    masks, first, p, r = _ball_sections(ball)
+    lo = np.empty(len(c))
+    hi = np.empty(len(c))
+    for rows in _blocks(masks.size, len(c)):
+        cp, _, nrm, low_ok, high_ok = _face_values(c[rows], masks, first, p, r)
+        spread = r[:, None] * nrm
+        lo[rows] = np.where(low_ok, cp - spread, cp).min(axis=0)
+        hi[rows] = np.where(high_ok, cp + spread, cp).max(axis=0)
+    return lo, hi
+
+
+def _enumerable_ball(reg: WeightRegion) -> bool:
+    """A ball alone, in few enough dimensions to enumerate its 2^d - 1 faces.
+
+    Face enumeration shares the combinatorial bound of vertex enumeration;
+    past it, a ball takes the numeric path.
+    """
+    return reg.ball is not None and not reg.constraints and reg.dim <= MAX_VERTEX_DIM
+
+
+def _simplex_ball_argmin(c: np.ndarray, ball: Ball) -> tuple[float, np.ndarray]:
+    """The minimum of :func:`simplex_ball_range` for one objective, with its point."""
+    masks, first, p, r = _ball_sections(ball)
+    cp, chat, nrm, low_ok, _ = _face_values(c[None, :], masks, first, p, r)
+    vals = np.where(low_ok, cp - r[:, None] * nrm, cp)[:, 0]
+    f = int(np.argmin(vals))
+    x = p[f]
+    if low_ok[f, 0] and nrm[f, 0] > 0.0:
+        x = x - r[f] * chat[:, f, 0] / nrm[f, 0]
+    return float(vals[f]), np.maximum(x, 0.0)
+
+
+def _guided_point(reg: WeightRegion, c: np.ndarray) -> np.ndarray | None:
+    """A region point near where ``c . v`` is least, as a solver start.
+
+    Alternating projections from the ball center moved by the radius
+    against the in-plane direction of c; None when c has no such direction
+    or the projections do not reach the region.
+    """
+    ball = reg.ball
+    ct = c - c.mean()
+    nrm = float(np.linalg.norm(ct))
+    if nrm <= 1e-15:
+        return None
+    x = _pocs_point(reg, start=np.asarray(ball.center, dtype=float) - ball.radius * ct / nrm)
+    return x if _contains_closure(reg, x, 1e-7) else None
+
+
 def _minimize_linear_numeric(reg: WeightRegion, c: np.ndarray) -> tuple[float, np.ndarray]:
     ball = reg.ball
     assert ball is not None
@@ -312,16 +444,6 @@ def _minimize_linear_numeric(reg: WeightRegion, c: np.ndarray) -> tuple[float, n
         if _contains_closure(reg, w, CONTAIN_TOL):
             return float(c @ w), w.copy()
         raise EmptyRegionError("empty region")
-    if not reg.constraints:
-        # ball section fully inside the positive orthant: the optimum is the
-        # center shifted along the in-plane gradient, no solver needed
-        ct = c - c.mean()
-        nrm = float(np.linalg.norm(ct))
-        if nrm <= 1e-15:
-            return float(c @ w), w.copy()
-        x = w - rho * ct / nrm
-        if (x >= -1e-12).all():
-            return float(c @ x), np.maximum(x, 0.0)
 
     x0 = find_feasible_point(reg)
     if x0 is None:
@@ -347,13 +469,8 @@ def _minimize_linear_numeric(reg: WeightRegion, c: np.ndarray) -> tuple[float, n
         }
     )
 
-    starts = [x0]
-    ct = c - c.mean()
-    nrm = float(np.linalg.norm(ct))
-    if nrm > 1e-15:
-        guided = _pocs_point(reg, start=w - rho * ct / nrm)
-        if _contains_closure(reg, guided, 1e-7):
-            starts.append(guided)
+    guided = _guided_point(reg, c)
+    starts = [x0] if guided is None else [x0, guided]
 
     best_val = float(c @ x0)
     best_x = x0
@@ -370,6 +487,9 @@ def _minimize_linear_numeric(reg: WeightRegion, c: np.ndarray) -> tuple[float, n
         if res.x is None:
             continue
         x = np.asarray(res.x, dtype=float)
+        if not _contains_closure(reg, x, CONTAIN_TOL):
+            # SLSQP may end just outside the ball: project back onto the region
+            x = _pocs_point(reg, start=x)
         if _contains_closure(reg, x, 1e-7):
             val = float(c @ x)
             if val < best_val:
@@ -384,8 +504,9 @@ def minimize_linear(
 
     ``method`` picks the evaluation path: ``auto`` chooses exact vertex
     scanning for polytopes, the exact interval reduction for 2-d ball
-    regions and the numeric path otherwise; ``numeric`` forces the solver
-    path (the tests compare it against an independent analytic oracle).
+    regions, the exact face enumeration of :func:`simplex_ball_range` for a
+    ball without constraints, and the numeric path otherwise; ``numeric``
+    forces the solver path (the tests compare it against the exact routes).
     """
     cv = np.asarray(c, dtype=float)
     if cv.shape != (reg.dim,):
@@ -403,6 +524,8 @@ def minimize_linear(
         return float(vals[i]), verts[i]
     if reg.dim == 2:
         return _interval_minimize(reg, cv)
+    if _enumerable_ball(reg):
+        return _simplex_ball_argmin(cv, reg.ball)
     return _minimize_linear_numeric(reg, cv)
 
 
@@ -425,6 +548,9 @@ def linear_range(reg: WeightRegion, c: Sequence[float]) -> tuple[float, float]:
         v_lo = float(cv[0] * lo + cv[1] * (1.0 - lo))
         v_hi = float(cv[0] * hi + cv[1] * (1.0 - hi))
         return min(v_lo, v_hi), max(v_lo, v_hi)
+    if _enumerable_ball(reg):
+        lo, hi = simplex_ball_range(cv[None, :], reg.ball)
+        return float(lo[0]), float(hi[0])
     mn, _ = _minimize_linear_numeric(reg, cv)
     neg, _ = _minimize_linear_numeric(reg, -cv)
     return mn, -neg
@@ -485,8 +611,6 @@ def _exists_numeric_ball(reg: WeightRegion, diffs: np.ndarray) -> tuple[float, n
         return float(np.max(diffs @ x0)), x0
 
     m = diffs.shape[0]
-    y0 = np.append(x0, float(np.max(diffs @ x0)) + 1.0)
-
     cons: list[dict] = [
         {
             "type": "eq",
@@ -519,20 +643,35 @@ def _exists_numeric_ball(reg: WeightRegion, diffs: np.ndarray) -> tuple[float, n
         )
 
     obj_jac = np.append(np.zeros(d), 1.0)
-    res = optimize.minimize(
-        lambda y: float(y[d]),
-        y0,
-        jac=lambda y: obj_jac,
-        method="SLSQP",
-        bounds=[(0.0, 1.0)] * d + [(None, None)],
-        constraints=cons,
-        options={"ftol": 1e-14, "maxiter": 400},
-    )
+
+    def solve(start: np.ndarray) -> tuple[bool, np.ndarray | None]:
+        res = optimize.minimize(
+            lambda y: float(y[d]),
+            np.append(start, float(np.max(diffs @ start)) + 1.0),
+            jac=lambda y: obj_jac,
+            method="SLSQP",
+            bounds=[(0.0, 1.0)] * d + [(None, None)],
+            constraints=cons,
+            options={"ftol": 1e-14, "maxiter": 400},
+        )
+        return bool(res.success), None if res.x is None else np.asarray(res.x[:d], dtype=float)
+
+    ok, x = solve(x0)
+    points = [x]
+    if not ok:
+        # retry once from where the mean rival difference is least (exact on
+        # a ball alone); the better certified witness wins
+        mean = diffs.mean(axis=0)
+        if _enumerable_ball(reg):
+            start = _simplex_ball_argmin(mean, ball)[1]
+        else:
+            start = _guided_point(reg, mean)
+        if start is not None:
+            points += [start, solve(start)[1]]
     best_val = float(np.max(diffs @ x0))
     best_x = x0
-    if res.x is not None:
-        x = np.asarray(res.x[:d], dtype=float)
-        if _contains_closure(reg, x, 1e-7):
+    for x in points:
+        if x is not None and _contains_closure(reg, x, 1e-7):
             val = float(np.max(diffs @ x))
             if val < best_val:
                 best_val, best_x = val, x
@@ -635,6 +774,8 @@ def exists_weak_optimum(
         )
         if res.status == 2:
             raise EmptyRegionError("empty region")
+        if res.status != 0:
+            raise RuntimeError(f"linprog did not certify an optimum: {res.message}")
         if res.x is not None:
             x = np.asarray(res.x[:d], dtype=float)
             val = float(np.max(diffs @ x))

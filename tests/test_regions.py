@@ -1,4 +1,6 @@
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from skyselect import (
     region_interval_d2,
     region_vertices,
 )
+from skyselect import regions
 
 from .oracles import grid_min, interval_minimize, interval_of
 
@@ -285,3 +288,52 @@ def test_interval_oracle_agrees_with_library():
         rho = rng.uniform(0.0, 0.4)
         reg = ball_region((w1, 1.0 - w1), rho)
         assert region_interval_d2(reg) == pytest.approx(interval_of(reg))
+
+
+def _solver_spy(fail_first: bool):
+    """Stand-in for ``scipy.optimize`` that records SLSQP starts; the first
+    solve can be made to report failure without a point."""
+    from types import SimpleNamespace
+
+    from skyselect import regions
+
+    real = regions.optimize
+    starts = []
+
+    def minimize(fun, x0, **kwargs):
+        starts.append(np.array(x0))
+        if fail_first and len(starts) == 1:
+            return SimpleNamespace(x=None, success=False)
+        return real.minimize(fun, x0, **kwargs)
+
+    return SimpleNamespace(minimize=minimize, linprog=real.linprog), starts
+
+
+def test_exists_weak_optimum_retries_a_failed_ball_solve():
+    # tied at the center, strictly better where v1 > v2: only SLSQP decides
+    reg = ball_region((1 / 3, 1 / 3, 1 / 3), 0.3)
+    target, rival = Tuple("t", (0.0, 1.0, 0.5)), Tuple("r", (0.5, 0.5, 0.5))
+    spy, starts = _solver_spy(fail_first=False)
+    with mock.patch.object(regions, "optimize", spy):
+        ok, w = exists_weak_optimum(reg, target, [rival], strict=True)
+    assert ok and reg.contains(w) and len(starts) == 1
+
+    spy, starts = _solver_spy(fail_first=True)
+    with mock.patch.object(regions, "optimize", spy):
+        ok, w = exists_weak_optimum(reg, target, [rival], strict=True)
+    assert ok and reg.contains(w) and w[0] > w[1]
+    # the retry starts where the mean rival difference (-0.5, 0.5, 0) is least
+    assert len(starts) == 2
+    _, best = minimize_linear(reg, np.array([-0.5, 0.5, 0.0]))
+    assert starts[1][:3] == pytest.approx(best)
+
+
+def test_exists_weak_optimum_raises_on_an_uncertified_linprog():
+    reg = WeightRegion(3, (LinearConstraint((1.0, -1.0, 0.0), 0.0),))
+    target, rival = Tuple("t", (0.0, 1.0, 0.5)), Tuple("r", (0.5, 0.5, 0.5))
+    stalled = SimpleNamespace(
+        linprog=lambda *a, **k: SimpleNamespace(status=1, x=None, message="iteration limit")
+    )
+    with mock.patch.object(regions, "optimize", stalled):
+        with pytest.raises(RuntimeError, match="iteration limit"):
+            exists_weak_optimum(reg, target, [rival], strict=True)
