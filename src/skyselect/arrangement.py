@@ -19,7 +19,8 @@ The kernel answers five questions about this arrangement of lines:
   (:func:`beaten_below`, :func:`reach`), which gives ``oru`` membership at
   any radius and each tuple's exact entry radius;
 * pairwise order breakpoints and the top-k label of each cell
-  (:func:`breakpoints`, :func:`cell_labels`) for ``utk1``/``utk2``;
+  (:func:`breakpoints`, :func:`cell_labels`) for ``utk1``/``utk2``; the
+  labels serve sampled weight vectors in any dimension as well;
 * a minimizer of the upper envelope of lines on an interval
   (:func:`envelope_argmin`) for ``exists_weak_optimum``.
 
@@ -52,26 +53,33 @@ def _at(t: float) -> np.ndarray:
     return np.array([t, 1.0 - t])
 
 
+def _dominates(q: np.ndarray, s: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of whether row i of ``q`` dominates row j of ``s`` at the support points.
+
+    D = q_i - s_j is <= tol at every point and < -tol at one; Pareto at tol = 0."""
+    hi = lo = q[:, None, 0] - s[None, :, 0]
+    for c in range(1, s.shape[1]):
+        diff = q[:, None, c] - s[None, :, c]
+        hi, lo = np.maximum(hi, diff), np.minimum(lo, diff)
+    return (hi <= tol) & (lo < -tol)
+
+
 def dominator_counts(
     scores: np.ndarray, tol: float, dominators: np.ndarray | None = None
 ) -> np.ndarray:
     """For each tuple j, how many tuples i dominate it over a finite support set.
 
     ``scores`` is (n, s): each tuple's score at the s support points, such as
-    the two ends of an interval or the vertices of a polytope in any
-    dimension. With D = score_i - score_j, i dominates j when D <= tol at
-    every support point and D < -tol at one of them. ``dominators``
-    restricts the candidate i's to the given row indices.
+    the two ends of an interval, the vertices of a polytope in any dimension
+    or, for Pareto dominance, the d attributes themselves. The predicate is
+    that of :func:`_dominates`. ``dominators`` restricts the candidate i's
+    to the given row indices.
     """
     n = scores.shape[0]
     q = scores if dominators is None else scores[dominators]
     counts = np.zeros(n, dtype=int)
     for cols in _blocks(len(q), n):
-        hi = lo = q[:, None, 0] - scores[None, cols, 0]
-        for c in range(1, scores.shape[1]):
-            diff = q[:, None, c] - scores[None, cols, c]
-            hi, lo = np.maximum(hi, diff), np.minimum(lo, diff)
-        counts[cols] = ((hi <= tol) & (lo < -tol)).sum(axis=0)
+        counts[cols] = _dominates(q, scores[cols], tol).sum(axis=0)
     return counts
 
 
@@ -279,17 +287,16 @@ def breakpoints(a: np.ndarray, lo: float, hi: float, dedup: float) -> list[float
     return roots[keep].tolist()
 
 
-def cell_labels(a: np.ndarray, ids: Sequence[str], k: int, mids: np.ndarray) -> np.ndarray:
-    """Row indices of the top-k tuples at each t in ``mids``, best first.
+def cell_labels(a: np.ndarray, ids: Sequence[str], k: int, weights: np.ndarray) -> np.ndarray:
+    """Row indices of the top-k tuples at each row of ``weights`` (m, d), best first.
 
     Scoring and the (score, id) tie-break are those of :func:`queries.top_k`,
-    so each label is exactly what ``top_k`` returns at (t, 1 - t).
+    so each label is exactly what ``top_k`` returns at that weight vector.
     """
     n = a.shape[0]
-    out = np.zeros((len(mids), min(k, n)), dtype=np.intp)
-    for cells in _blocks(n, len(mids)):
-        m = mids[cells]
-        out[cells] = _best_k(_scores(a, np.stack([m, 1.0 - m], axis=1)), ids, k)
+    out = np.zeros((len(weights), min(k, n)), dtype=np.intp)
+    for cells in _blocks(n, len(weights)):
+        out[cells] = _best_k(_scores(a, weights[cells]), ids, k)
     return out
 
 

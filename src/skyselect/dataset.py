@@ -1,14 +1,18 @@
 """Dataset model, CSV ingestion, min-max normalization, synthetic generators.
 
 Every operator in this package consumes the same immutable dataset shape:
-records with non-negative numeric attributes where lower values are better.
+ids plus one read-only (n, d) array of non-negative attribute values where
+lower values are better. This is the only module that builds
+:class:`Tuple` records; operators index the array and the ids.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,55 +49,105 @@ class Tuple:
         return len(self.attrs)
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Immutable collection of same-dimension tuples with named attributes.
+def _validate(
+    schema: tuple[str, ...], ids: tuple[str, ...], a: np.ndarray, normalized: bool
+) -> None:
+    """Raise on the first row (1-based) with a duplicate id or an invalid value."""
+    if len(schema) < 1:
+        raise ValueError("dataset needs at least one attribute column")
+    n = len(ids)
+    if a.shape != (n, len(schema)):
+        raise ValueError(f"expected an array of shape {(n, len(schema))}, got {a.shape}")
+    dup = np.zeros(n, dtype=bool)
+    if len(set(ids)) < n:
+        seen: set[str] = set()
+        for i, tid in enumerate(ids):
+            dup[i] = tid in seen
+            seen.add(tid)
+    bad = ~(np.isfinite(a) & (a >= 0.0))
+    over = (a > 1.0) if normalized else np.zeros_like(bad)
+    failing = np.flatnonzero(dup | bad.any(axis=1) | over.any(axis=1))
+    if not len(failing):
+        return
+    i = int(failing[0])
+    if dup[i]:
+        problem = f"duplicate id {ids[i]!r}"
+    elif bad[i].any():
+        problem = f"tuple {ids[i]!r}: attribute {float(a[i][bad[i]][0])!r} must be finite and >= 0"
+    else:
+        problem = f"tuple {ids[i]!r}: normalized dataset requires attributes in [0, 1]"
+    raise ValueError(f"row {i + 1}: {problem}")
 
-    ``normalized`` records whether all attribute values are known to lie in
-    [0, 1]; it is set by :func:`normalize` and :func:`generate` and required
-    by the epsilon-relaxed operators.
+
+class Dataset:
+    """Immutable table: ``schema``, n ids, one read-only float64 (n, d) array.
+
+    ``normalized`` records that all values lie in [0, 1]; :func:`normalize`
+    and :func:`generate` set it and the epsilon-relaxed operators need it.
+    ``tuples`` is a view of the rows as :class:`Tuple` records.
     """
 
-    schema: tuple[str, ...]
-    tuples: tuple[Tuple, ...]
-    normalized: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "schema", tuple(str(s) for s in self.schema))
-        object.__setattr__(self, "tuples", tuple(self.tuples))
-        d = len(self.schema)
-        if d < 1:
-            raise ValueError("dataset needs at least one attribute column")
-        seen: set[str] = set()
-        for t in self.tuples:
+    def __init__(
+        self, schema: Sequence[str], tuples: Sequence[Tuple], normalized: bool = False
+    ) -> None:
+        tuples = tuple(tuples)
+        d = len(schema)
+        for t in tuples:
             if t.dim != d:
                 raise ValueError(f"tuple {t.id!r}: expected {d} attributes, got {t.dim}")
-            if t.id in seen:
-                raise ValueError(f"duplicate id {t.id!r}")
-            seen.add(t.id)
-            if self.normalized and any(a > 1.0 for a in t.attrs):
-                raise ValueError(
-                    f"tuple {t.id!r}: normalized dataset requires attributes in [0, 1]"
-                )
+        a = np.array([t.attrs for t in tuples], dtype=float).reshape(len(tuples), d)
+        built = Dataset._from_array(schema, [t.id for t in tuples], a, normalized)
+        vars(self).update(vars(built), tuples=tuples)
+
+    @classmethod
+    def _from_array(
+        cls, schema: Sequence[str], ids: Sequence[str], a: np.ndarray, normalized: bool
+    ) -> Dataset:
+        """A dataset over ``a``, which it takes over and makes read-only."""
+        schema, ids = tuple(str(s) for s in schema), tuple(ids)
+        a = np.ascontiguousarray(a, dtype=float)
+        _validate(schema, ids, a, normalized)
+        a.flags.writeable = False
+        ds = cls.__new__(cls)
+        vars(ds).update(schema=schema, _ids=ids, _a=a, normalized=bool(normalized))
+        return ds
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("Dataset is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (self.schema, self._ids, self.normalized) == (
+            other.schema, other._ids, other.normalized
+        ) and np.array_equal(self._a, other._a)
+
+    def __reduce__(self):  # copies and unpickled datasets keep a read-only array
+        return (Dataset._from_array, (self.schema, self._ids, self._a, self.normalized))
+
+    def __hash__(self) -> int:
+        return hash((self.schema, self._ids, self.normalized))
+
+    def __repr__(self) -> str:
+        return f"Dataset(schema={self.schema!r}, n={len(self)}, normalized={self.normalized})"
 
     def __len__(self) -> int:
-        return len(self.tuples)
+        return len(self._ids)
 
     @property
     def dim(self) -> int:
         return len(self.schema)
 
-    def ids(self) -> list[str]:
-        return [t.id for t in self.tuples]
+    def ids(self) -> tuple[str, ...]:
+        return self._ids
 
     def attr_array(self) -> np.ndarray:
-        """Attribute values as an (n, d) float array."""
-        return np.array(
-            [t.attrs for t in self.tuples], dtype=float
-        ).reshape(len(self.tuples), self.dim)
+        """Attribute values as the dataset's own read-only (n, d) array."""
+        return self._a
 
-    def as_dict(self) -> dict[str, Tuple]:
-        return {t.id: t for t in self.tuples}
+    @cached_property
+    def tuples(self) -> tuple[Tuple, ...]:
+        return tuple(Tuple(tid, row) for tid, row in zip(self._ids, self._a.tolist()))
 
 
 def load_csv(path: str) -> Dataset:
@@ -101,57 +155,49 @@ def load_csv(path: str) -> Dataset:
 
     The first row is a header. When its first column is named ``id`` that
     column supplies tuple identifiers; otherwise identifiers are 1-based row
-    indices rendered as text and every column is an attribute. Parse errors
-    name the offending data row (1-based, header excluded).
+    indices rendered as text and every column is an attribute. Errors name
+    the offending data row (1-based, header and blank lines excluded); a
+    wrong column count or a malformed number anywhere is reported before a
+    duplicate id or a negative or non-finite value.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise IngestionError("missing header row")
-    header = rows[0]
-    has_id = len(header) > 0 and header[0] == "id"
-    schema = tuple(header[1:]) if has_id else tuple(header)
+    header, body = rows[0], [row for row in rows[1:] if row]
+    skip = 1 if header[:1] == ["id"] else 0
+    schema = tuple(header[skip:])
     if len(schema) < 1:
         raise IngestionError("header declares no attribute columns")
-
-    tuples: list[Tuple] = []
-    seen: set[str] = set()
-    rownum = 0
-    for row in rows[1:]:
-        if not row:
-            continue
-        rownum += 1
-        expected = len(schema) + (1 if has_id else 0)
-        if len(row) != expected:
-            raise IngestionError(f"row {rownum}: expected {len(schema)} attributes")
-        tid = row[0] if has_id else str(rownum)
-        if tid in seen:
-            raise IngestionError(f"row {rownum}: duplicate id {tid!r}")
-        seen.add(tid)
-        vals: list[float] = []
-        for cell in (row[1:] if has_id else row):
+    values: list[float] = []
+    for i, row in enumerate(body, 1):
+        if len(row) != len(schema) + skip:
+            raise IngestionError(f"row {i}: expected {len(schema)} attributes")
+        for cell in row[skip:]:
             try:
-                vals.append(float(cell))
+                values.append(float(cell))
             except ValueError:
-                raise IngestionError(f"row {rownum}: malformed number {cell!r}") from None
-        try:
-            tuples.append(Tuple(tid, tuple(vals)))
-        except ValueError as exc:
-            raise IngestionError(f"row {rownum}: {exc}") from None
-    return Dataset(schema, tuple(tuples), normalized=False)
+                raise IngestionError(f"row {i}: malformed number {cell!r}") from None
+    ids = [row[0] for row in body] if skip else [str(i) for i in range(1, len(body) + 1)]
+    a = np.array(values).reshape(len(body), len(schema))
+    try:
+        return Dataset._from_array(schema, ids, a, False)
+    except ValueError as exc:
+        raise IngestionError(str(exc)) from None
 
 
 def write_csv(ds: Dataset, path: str) -> None:
     """Write a dataset as CSV with an explicit id column.
 
-    Values are rendered with 17 significant digits so that reading the file
-    back reproduces each float bit for bit.
+    Fields are quoted as :func:`load_csv`'s reader expects, and values are
+    rendered with 17 significant digits so that reading the file back
+    reproduces each float bit for bit.
     """
-    lines = ["id," + ",".join(ds.schema)]
-    for t in ds.tuples:
-        lines.append(t.id + "," + ",".join(format(a, ".17g") for a in t.attrs))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(("id",) + ds.schema)
+        cols = ([format(x, ".17g") for x in col] for col in ds.attr_array().T.tolist())
+        out.writerows(zip(ds.ids(), *cols))
 
 
 def normalize(ds: Dataset) -> Dataset:
@@ -173,10 +219,7 @@ def normalize(ds: Dataset) -> Dataset:
     out[:, pos] = (a[:, pos] - lo[pos]) / span[pos]
     for j in np.flatnonzero(pos):
         out[:, j] = _separate(a[:, j], out[:, j])
-    tuples = tuple(
-        Tuple(t.id, tuple(float(x) for x in row)) for t, row in zip(ds.tuples, out)
-    )
-    return Dataset(ds.schema, tuples, normalized=True)
+    return Dataset._from_array(ds.schema, ds.ids(), out, True)
 
 
 def _separate(col: np.ndarray, scaled: np.ndarray) -> np.ndarray:
@@ -234,7 +277,4 @@ def generate(dist: str, n: int, d: int, seed: int) -> Dataset:
         level = rng.normal(0.5, 0.05, (n, 1))
         a = np.clip(u - u.mean(axis=1, keepdims=True) + level, 0.0, 1.0)
     schema = tuple(f"a{i + 1}" for i in range(d))
-    tuples = tuple(
-        Tuple(str(i + 1), tuple(float(x) for x in a[i])) for i in range(n)
-    )
-    return Dataset(schema, tuples, normalized=True)
+    return Dataset._from_array(schema, [str(i + 1) for i in range(n)], a, True)

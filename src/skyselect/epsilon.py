@@ -13,6 +13,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from .arrangement import _blocks
 from .dataset import Dataset, Tuple
 from .queries import check_weights
 
@@ -47,14 +48,17 @@ def epsilon_skyline(ds: Dataset, w: Sequence[float], eps: float) -> set[str]:
     if not ds.normalized:
         raise ValueError("epsilon skyline requires a normalized dataset")
     n = len(ds)
-    if n == 0:
-        return set()
     a = ds.attr_array()
     scaled = a * wv
-    # dom[i, j]: i epsilon-dominates j
-    slack = (scaled[:, None, :] <= scaled[None, :, :] + eps).all(axis=2)
-    better = (a[:, None, :] < a[None, :, :]).any(axis=2)
-    dom = slack & better
-    np.fill_diagonal(dom, False)
-    survivors = ~dom.any(axis=0)
-    return {t.id for t, alive in zip(ds.tuples, survivors) if alive}
+    survivors = np.zeros(n, dtype=bool)
+    for cols in _blocks(n, n):
+        # dom[i, j]: i epsilon-dominates j; never i = j, which beats itself
+        # nowhere. One pass per attribute: reducing a short last axis is slow.
+        slack = np.ones((n, cols.stop - cols.start), dtype=bool)
+        better = np.zeros_like(slack)
+        for j in range(ds.dim):
+            slack &= scaled[:, None, j] <= scaled[None, cols, j] + eps
+            better |= a[:, None, j] < a[None, cols, j]
+        survivors[cols] = ~(slack & better).any(axis=0)
+    ids = ds.ids()
+    return {ids[i] for i in np.flatnonzero(survivors)}

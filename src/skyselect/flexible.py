@@ -19,12 +19,13 @@ import numpy as np
 
 from .arrangement import _blocks, dominator_counts
 from .dataset import Dataset, Tuple
-from .queries import skyline
+from .queries import _skyline_rows
 from .regions import (
     MAX_VERTEX_DIM,
     EmptyRegionError,
     LinearConstraint,
     WeightRegion,
+    _as_attr_vector,
     exists_weak_optimum,
     find_feasible_point,
     linear_range,
@@ -38,10 +39,6 @@ from .regions import (
 DOM_TOL = 1e-12
 
 
-def _attrs_of(t) -> tuple[float, ...]:
-    return t.attrs if isinstance(t, Tuple) else tuple(float(x) for x in t)
-
-
 def constraint_from_preference(preferred, other) -> LinearConstraint:
     """Linear weight constraint implied by ranking ``preferred`` above ``other``.
 
@@ -49,11 +46,11 @@ def constraint_from_preference(preferred, other) -> LinearConstraint:
     better means ``(preferred - other) . v < 0``. Identical attribute vectors
     carry no information and are rejected.
     """
-    p, o = _attrs_of(preferred), _attrs_of(other)
-    if len(p) != len(o):
+    p, o = _as_attr_vector(preferred), _as_attr_vector(other)
+    if p.shape != o.shape:
         raise ValueError("preference tuples must share a dimension")
-    coeffs = tuple(a - b for a, b in zip(p, o))
-    if all(c == 0.0 for c in coeffs):
+    coeffs = tuple((p - o).tolist())
+    if not any(coeffs):
         raise ValueError("uninformative preference: identical attribute vectors")
     return LinearConstraint(coeffs, 0.0, strict=True)
 
@@ -142,17 +139,14 @@ def nd(ds: Dataset, reg: WeightRegion) -> set[str]:
     """
     if reg.dim != ds.dim:
         raise ValueError("region dimension does not match dataset")
-    n = len(ds)
-    if n == 0:
+    if len(ds) == 0:
         return set()
     if _support_points(reg) is None and find_feasible_point(reg) is None:
         raise EmptyRegionError("empty region")
-
-    sky = skyline(ds)
-    sky_pos = np.array([i for i, t in enumerate(ds.tuples) if t.id in sky], dtype=int)
+    a, ids = ds.attr_array(), ds.ids()
+    sky = np.array(sorted(_skyline_rows(a)), dtype=np.intp)
     # the predicate non_rho_dominated uses, so the two agree on balls
-    counts = _dominator_counts(ds.attr_array(), reg, sky_pos)
-    return {t.id for t, c in zip(ds.tuples, counts) if c == 0}
+    return {ids[i] for i in np.flatnonzero(_dominator_counts(a, reg, sky) == 0)}
 
 
 def po(ds: Dataset, reg: WeightRegion, strict: bool = True) -> set[str]:
@@ -169,28 +163,18 @@ def po(ds: Dataset, reg: WeightRegion, strict: bool = True) -> set[str]:
     n = len(ds)
     if n == 0:
         return set()
-
-    candidates = nd(ds, reg) if strict else {t.id for t in ds.tuples}
+    a, ids = ds.attr_array(), ds.ids()
+    kept = nd(ds, reg) if strict else set(ids)
+    candidates = np.fromiter((tid in kept for tid in ids), dtype=bool, count=n)
     support = _support_points(reg)
-    reduced: dict[str, list[Tuple]] | None = None
-    if support is not None and strict:
-        scores = ds.attr_array() @ support.T
-        nd_idx = [i for i, t in enumerate(ds.tuples) if t.id in candidates]
-        nd_mask = np.zeros(n, dtype=bool)
-        nd_mask[nd_idx] = True
-        reduced = {}
-        for i in nd_idx:
-            # rivals that score no better than i at every support point
-            keep = nd_mask | ((scores[i] - scores).max(axis=1) <= DOM_TOL)
-            keep[i] = False
-            reduced[ds.tuples[i].id] = [ds.tuples[j] for j in np.flatnonzero(keep)]
-
+    scores = a @ support.T if support is not None and strict else None
     out: set[str] = set()
-    for t in ds.tuples:
-        if t.id not in candidates:
-            continue
-        rivals = reduced[t.id] if reduced is not None else [r for r in ds.tuples if r.id != t.id]
-        ok, _ = exists_weak_optimum(reg, t, rivals, strict=strict)
+    for i in np.flatnonzero(candidates):
+        rivals = np.ones(n, dtype=bool)
+        if scores is not None:  # nd candidates and rows no better than i at every support point
+            rivals = candidates | ((scores[i] - scores).max(axis=1) <= DOM_TOL)
+        rivals[i] = False
+        ok, _ = exists_weak_optimum(reg, a[i], a[rivals], strict=strict)
         if ok:
-            out.add(t.id)
+            out.add(ids[i])
     return out

@@ -81,22 +81,24 @@ def non_rho_dominated(
         raise ValueError("rho must be >= 0")
     if k_depth < 1:
         raise ValueError("k_depth must be >= 1")
-    counts = _dominator_counts(ds.attr_array(), ball_region(tuple(wv), rho))
-    return {t.id for t, c in zip(ds.tuples, counts) if c < k_depth}
+    ids = ds.ids()
+    return {ids[i] for i in np.flatnonzero(_survivors(ds.attr_array(), wv, rho, k_depth))}
 
 
-def _rank_by_score(ds: Dataset, w: np.ndarray, ids: set[str]) -> list[str]:
-    a = ds.attr_array()
-    scored = [
-        (float(a[i] @ w), t.id) for i, t in enumerate(ds.tuples) if t.id in ids
-    ]
-    scored.sort()
-    return [tid for _, tid in scored]
+def _survivors(a: np.ndarray, w: np.ndarray, rho: float, k_depth: int) -> np.ndarray:
+    """Whether each row is ball-dominated by fewer than ``k_depth`` others."""
+    return _dominator_counts(a, ball_region(tuple(w), rho)) < k_depth
 
 
-def _bisect_least_radius(count_at, m: int) -> tuple[float, float]:
-    """Least rho with count(rho) >= m; returns (reported midpoint, feasible hi)."""
-    lo, hi = 0.0, RHO_MAX
+def _rank_by_score(ds: Dataset, w: np.ndarray, rows: np.ndarray) -> list[str]:
+    """Ids of the chosen rows (a mask) by score at w, then id."""
+    a, ids = ds.attr_array(), ds.ids()
+    return [tid for _, tid in sorted((float(a[i] @ w), ids[i]) for i in np.flatnonzero(rows))]
+
+
+def _bisect_least_radius(count_at, m: int, hi: float = RHO_MAX) -> tuple[float, float]:
+    """Least rho in [0, hi] with count(rho) >= m; returns (reported midpoint, feasible hi)."""
+    lo = 0.0
     while hi - lo > RHO_TOL:
         mid = 0.5 * (lo + hi)
         if count_at(mid) >= m:
@@ -150,13 +152,14 @@ def _least_radius_d2(ds: Dataset, w: np.ndarray, m: int, k_depth: int):
             yield float(ends[i]), 0.5 * (ends[j] + beyond[j])
             i = j + 1
 
+    a = ds.attr_array()
     for h_star, h_at in tries():
-        survivors = non_rho_dominated(ds, tuple(w), RHO_MAX * h_at, k_depth)
-        if len(survivors) >= m:
+        survivors = _survivors(a, w, RHO_MAX * h_at, k_depth)
+        if survivors.sum() >= m:
             return RHO_MAX * h_star, survivors
-    survivors = non_rho_dominated(ds, tuple(w), RHO_MAX, k_depth)
-    if len(survivors) < m:
-        raise UnreachableSizeError(m, len(survivors))
+    survivors = _survivors(a, w, RHO_MAX, k_depth)
+    if survivors.sum() < m:
+        raise UnreachableSizeError(m, int(survivors.sum()))
     return RHO_MAX, survivors
 
 
@@ -183,7 +186,7 @@ def ord_query(ds: Dataset, w: Sequence[float], m: int, k_depth: int = 1) -> OssR
     a = ds.attr_array()
 
     def count_at(rho: float) -> int:
-        return int((_dominator_counts(a, ball_region(tuple(wv), rho)) < k_depth).sum())
+        return int(_survivors(a, wv, rho, k_depth).sum())
 
     if count_at(0.0) >= m:
         rho_star, at = 0.0, 0.0
@@ -192,23 +195,18 @@ def ord_query(ds: Dataset, w: Sequence[float], m: int, k_depth: int = 1) -> OssR
         if achievable < m:
             raise UnreachableSizeError(m, achievable)
         rho_star, at = _bisect_least_radius(count_at, m)
-    survivors = non_rho_dominated(ds, tuple(wv), at, k_depth)
-    ranked = _rank_by_score(ds, wv, survivors)[:m]
+    ranked = _rank_by_score(ds, wv, _survivors(a, wv, at, k_depth))[:m]
     return OssResult(tuple(ranked), rho_star, k_depth)
 
 
-def _member_general(ds: Dataset, i: int, w: np.ndarray, rho: float, k_depth: int) -> bool:
+def _member_general(a: np.ndarray, i: int, w: np.ndarray, rho: float, k_depth: int) -> bool:
     reg = ball_region(tuple(w), rho)
-    target = ds.tuples[i]
-    rivals = [t for j, t in enumerate(ds.tuples) if j != i]
+    rivals = np.delete(a, i, axis=0)
     if k_depth == 1:
-        ok, _ = exists_weak_optimum(reg, target, rivals, strict=True)
+        ok, _ = exists_weak_optimum(reg, a[i], rivals, strict=True)
         return ok
     # depth > 1 beyond two dimensions: sampled approximation on the ball
-    a = ds.attr_array()
-    diffs = np.array(
-        [a[j] - a[i] for j in range(len(ds)) if j != i and not np.array_equal(a[j], a[i])]
-    )
+    diffs = rivals[(rivals != a[i]).any(axis=1)] - a[i]
     if diffs.size == 0:
         return True
     for v in grid_sample(reg, 32):
@@ -217,21 +215,22 @@ def _member_general(ds: Dataset, i: int, w: np.ndarray, rho: float, k_depth: int
     return False
 
 
-def _membership(ds: Dataset, w: np.ndarray, rho: float, k_depth: int) -> set[str]:
-    if ds.dim == 2:
+def _members(a: np.ndarray, w: np.ndarray, rho: float, k_depth: int) -> np.ndarray:
+    """Whether each row enters some top-``k_depth`` result on the ball."""
+    if a.shape[1] == 2:
         # exact: beaten by fewer than k_depth rivals on an open cell of the
         # ball interval, or at its single point when it has no width
-        a = ds.attr_array()
         lo, hi = region_interval_d2(ball_region(tuple(w), rho))
         if hi - lo <= 1e-15:
-            member = arrangement.beaten_below(a, lo, k_depth)
-        else:
-            left, right = arrangement.reach(a, float(w[0]), k_depth)
-            member = (left > lo) | (right < hi)
-        return {t.id for t, keep in zip(ds.tuples, member) if keep}
-    return {
-        t.id for i, t in enumerate(ds.tuples) if _member_general(ds, i, w, rho, k_depth)
-    }
+            return arrangement.beaten_below(a, lo, k_depth)
+        left, right = arrangement.reach(a, float(w[0]), k_depth)
+        return (left > lo) | (right < hi)
+    return np.array([_member_general(a, i, w, rho, k_depth) for i in range(len(a))], dtype=bool)
+
+
+def _membership(ds: Dataset, w: np.ndarray, rho: float, k_depth: int) -> set[str]:
+    ids = ds.ids()
+    return {ids[i] for i in np.flatnonzero(_members(ds.attr_array(), w, rho, k_depth))}
 
 
 def _oru_d2(ds: Dataset, w: np.ndarray, m: int, k_depth: int) -> OssResult:
@@ -242,14 +241,14 @@ def _oru_d2(ds: Dataset, w: np.ndarray, m: int, k_depth: int) -> OssResult:
     every larger half-width, so the least half-width reaching m members is
     the m-th smallest entry and rho_star is RHO_MAX (sqrt 2) times it.
     """
-    at_w = _membership(ds, w, 0.0, k_depth)
-    if len(at_w) >= m:
+    a, ids = ds.attr_array(), ds.ids()
+    at_w = _members(a, w, 0.0, k_depth)
+    if at_w.sum() >= m:
         return OssResult(tuple(_rank_by_score(ds, w, at_w)[:m]), 0.0, k_depth)
     w1 = float(w[0])
-    left, right = arrangement.reach(ds.attr_array(), w1, k_depth)
+    left, right = arrangement.reach(a, w1, k_depth)
     entry = np.minimum(w1 - left, right - w1)
-    ids = ds.ids()
-    entry[[i for i, tid in enumerate(ids) if tid in at_w]] = 0.0
+    entry[at_w] = 0.0
     order = np.argsort(entry, kind="stable")
     h_star = float(entry[order[m - 1]])
     if not np.isfinite(h_star):
@@ -258,10 +257,9 @@ def _oru_d2(ds: Dataset, w: np.ndarray, m: int, k_depth: int) -> OssResult:
     group = _tie_groups(RHO_MAX * entry[order])
     chosen = order[group <= group[m - 1]]
     if len(chosen) <= m:
-        members = {ids[i] for i in chosen}
+        members = np.isin(np.arange(len(a)), chosen)
         return OssResult(tuple(_rank_by_score(ds, w, members)[:m]), RHO_MAX * h_star, k_depth)
     # overshoot: rank by entry radius, tied radii by score at w, then id
-    a = ds.attr_array()
     keyed = sorted((int(g), float(a[i] @ w), ids[i]) for g, i in zip(group, chosen))
     return OssResult(tuple(tid for _, _, tid in keyed[:m]), RHO_MAX * h_star, k_depth)
 
@@ -286,41 +284,29 @@ def oru_query(ds: Dataset, w: Sequence[float], m: int, k_depth: int = 1) -> OssR
     if ds.dim == 2:
         return _oru_d2(ds, wv, m, k_depth)
 
-    def members_at(rho: float) -> set[str]:
-        return _membership(ds, wv, rho, k_depth)
+    a, ids = ds.attr_array(), ds.ids()
 
-    if len(members_at(0.0)) >= m:
+    def count_at(rho: float) -> int:
+        return int(_members(a, wv, rho, k_depth).sum())
+
+    if count_at(0.0) >= m:
         rho_star, at = 0.0, 0.0
     else:
-        achievable = len(members_at(RHO_MAX))
+        achievable = count_at(RHO_MAX)
         if achievable < m:
             raise UnreachableSizeError(m, achievable)
-        rho_star, at = _bisect_least_radius(lambda r: len(members_at(r)), m)
-    members = members_at(at)
+        rho_star, at = _bisect_least_radius(count_at, m)
+    members = _members(a, wv, at, k_depth)
 
-    if len(members) <= m:
+    if members.sum() <= m:
         ranked = _rank_by_score(ds, wv, members)[:m]
         return OssResult(tuple(ranked), rho_star, k_depth)
 
     # overshoot: order by entry radius, grouped at the search tolerance
-    a = ds.attr_array()
-    idx_of = {t.id: i for i, t in enumerate(ds.tuples)}
     keyed = []
-    for tid in members:
-        i = idx_of[tid]
-        member_fn = lambda r, i=i: _member_general(ds, i, wv, r, k_depth)
-        if member_fn(0.0):
-            entry = 0.0
-        else:
-            lo, hi = 0.0, at
-            while hi - lo > RHO_TOL:
-                mid = 0.5 * (lo + hi)
-                if member_fn(mid):
-                    hi = mid
-                else:
-                    lo = mid
-            entry = 0.5 * (lo + hi)
-        score = float(a[i] @ wv)
-        keyed.append((round(entry / _RADIUS_GROUP), score, tid))
+    for i in np.flatnonzero(members):
+        member_fn = lambda r, i=i: _member_general(a, i, wv, r, k_depth)
+        entry = 0.0 if member_fn(0.0) else _bisect_least_radius(member_fn, 1, at)[0]
+        keyed.append((round(entry / _RADIUS_GROUP), float(a[i] @ wv), ids[i]))
     keyed.sort()
     return OssResult(tuple(tid for _, _, tid in keyed[:m]), rho_star, k_depth)

@@ -52,42 +52,44 @@ def pareto_dominates(t: Tuple, r: Tuple) -> bool:
     return _dominates_attrs(t.attrs, r.attrs)
 
 
+def _skyline_rows(a: np.ndarray) -> list[int]:
+    """Row indices of the Pareto-optimal rows of ``a``, by block-nested-loops."""
+    rows = a.tolist()
+    window: list[int] = []
+    for i, t in enumerate(rows):
+        dominated = False
+        survivors: list[int] = []
+        for s in window:
+            if _dominates_attrs(rows[s], t):
+                dominated = True
+                survivors = window
+                break
+            if not _dominates_attrs(t, rows[s]):
+                survivors.append(s)
+        window = survivors
+        if not dominated:
+            window.append(i)
+    return window
+
+
 def skyline(ds: Dataset) -> set[str]:
     """Pareto-optimal ids via block-nested-loops.
 
     Tuples with identical attribute vectors do not dominate each other, so
     duplicated skyline points are all retained.
     """
-    window: list[Tuple] = []
-    for t in ds.tuples:
-        dominated = False
-        survivors: list[Tuple] = []
-        for s in window:
-            if _dominates_attrs(s.attrs, t.attrs):
-                dominated = True
-                survivors = window
-                break
-            if not _dominates_attrs(t.attrs, s.attrs):
-                survivors.append(s)
-        window = survivors
-        if not dominated:
-            window.append(t)
-    return {t.id for t in window}
+    ids = ds.ids()
+    return {ids[i] for i in _skyline_rows(ds.attr_array())}
 
 
 def k_skyband(ds: Dataset, k: int) -> set[str]:
     """Ids of tuples Pareto-dominated by fewer than k others."""
+    from .arrangement import dominator_counts  # arrangement imports this module
+
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = len(ds)
-    if n == 0:
-        return set()
-    a = ds.attr_array()
-    le = (a[:, None, :] <= a[None, :, :]).all(axis=2)
-    lt = (a[:, None, :] < a[None, :, :]).any(axis=2)
-    dom = le & lt
-    counts = dom.sum(axis=0)
-    return {t.id for t, c in zip(ds.tuples, counts) if c < k}
+    ids = ds.ids()
+    return {ids[i] for i in np.flatnonzero(dominator_counts(ds.attr_array(), 0.0) < k)}
 
 
 def check_weights(w: Sequence[float], dim: int) -> np.ndarray:
@@ -150,9 +152,6 @@ def top_k(ds: Dataset, w: Sequence[float], k: int) -> RankedResult:
     wv = check_weights(w, ds.dim)
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = len(ds)
-    if n == 0:
-        return RankedResult(())
     scores = _scores(ds.attr_array(), wv)
     ids = ds.ids()
     best = _best_k(scores[None, :], ids, k)[0]
@@ -172,16 +171,13 @@ def top_k_threshold(
     wv = check_weights(w, ds.dim)
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = len(ds)
-    if n == 0:
-        return RankedResult(()), 0
     a = ds.attr_array()
     ids = ds.ids()
     columns = [np.argsort(a[:, j], kind="stable") for j in range(ds.dim)]
 
     seen: dict[int, float] = {}
     worst_of_best: list[float] = []  # max-heap (negated) of the k best scores
-    for depth in range(n):
+    for depth in range(len(a)):
         fresh: list[int] = []
         for col in columns:
             idx = int(col[depth])

@@ -21,37 +21,38 @@ from itertools import combinations
 
 import numpy as np
 
+from .arrangement import _blocks, _dominates
 from .dataset import Dataset
-from .queries import pareto_dominates, skyline
+from .queries import _skyline_rows
 
 EXACT_BUDGET = 1_000_000
 
 
+def _sky_by_id(ds: Dataset) -> list[int]:
+    """Row indices of the skyline, in ascending id order."""
+    return sorted(_skyline_rows(ds.attr_array()), key=ds.ids().__getitem__)
+
+
+def _covered(a: np.ndarray, rows: list[int]) -> np.ndarray:
+    """Mask of whether tuple ``rows[p]`` Pareto-dominates tuple j, (len(rows), n).
+
+    No tuple dominates a skyline row, so for those every covered tuple is off it."""
+    q = a[rows]
+    out = np.zeros((len(q), len(a)), dtype=bool)
+    for cols in _blocks(len(q), len(a)):
+        out[:, cols] = _dominates(q, a[cols], 0.0)
+    return out
+
+
 def coverage(ds: Dataset, chosen: set[str]) -> int:
     """Non-skyline tuples dominated by at least one chosen skyline member."""
-    sky = skyline(ds)
-    extra = chosen - sky
+    ids = ds.ids()
+    sky = _sky_by_id(ds)
+    extra = chosen - {ids[i] for i in sky}
     if extra:
         raise ValueError(f"chosen ids not on the skyline: {sorted(extra)}")
-    by_id = ds.as_dict()
-    picked = [by_id[c] for c in chosen]
-    count = 0
-    for t in ds.tuples:
-        if t.id in sky:
-            continue
-        if any(pareto_dominates(p, t) for p in picked):
-            count += 1
-    return count
-
-
-def _covered_sets(ds: Dataset, sky_ids: list[str]) -> dict[str, frozenset[int]]:
-    by_id = ds.as_dict()
-    others = [(i, t) for i, t in enumerate(ds.tuples) if t.id not in set(sky_ids)]
-    out = {}
-    for sid in sky_ids:
-        s = by_id[sid]
-        out[sid] = frozenset(i for i, t in others if pareto_dominates(s, t))
-    return out
+    picked = [i for i in sky if ids[i] in chosen]
+    return int(_covered(ds.attr_array(), picked).any(axis=0).sum())
 
 
 def dominance_representative(ds: Dataset, k: int, mode: str = "greedy") -> list[str]:
@@ -66,39 +67,31 @@ def dominance_representative(ds: Dataset, k: int, mode: str = "greedy") -> list[
         raise ValueError("k must be >= 1")
     if mode not in ("greedy", "exact"):
         raise ValueError("mode must be 'greedy' or 'exact'")
-    sky_ids = sorted(skyline(ds))
-    kk = min(k, len(sky_ids))
-    if kk == len(sky_ids):
+    ids = ds.ids()
+    sky = _sky_by_id(ds)
+    sky_ids = [ids[i] for i in sky]
+    kk = min(k, len(sky))
+    if kk == len(sky):
         return sky_ids
-    covered = _covered_sets(ds, sky_ids)
+    covered = _covered(ds.attr_array(), sky)
     if mode == "exact":
-        if math.comb(len(sky_ids), kk) > EXACT_BUDGET:
+        if math.comb(len(sky), kk) > EXACT_BUDGET:
             raise ValueError("exact search exceeds the enumeration budget")
         best_val, best_combo = -1, None
-        for combo in combinations(sky_ids, kk):
-            val = len(frozenset().union(*(covered[c] for c in combo)))
+        for combo in combinations(range(len(sky)), kk):
+            val = int(covered[list(combo)].any(axis=0).sum())
             if val > best_val:
                 best_val, best_combo = val, combo
-        return list(best_combo)
-    chosen: list[str] = []
-    have: frozenset[int] = frozenset()
-    remaining = list(sky_ids)
+        return [sky_ids[p] for p in best_combo]
+    chosen: list[int] = []
+    have = np.zeros(len(ds), dtype=bool)
     for _ in range(kk):
-        gain, pick = -1, None
-        for sid in remaining:
-            g = len(covered[sid] - have)
-            if g > gain:
-                gain, pick = g, sid
+        gain = (covered & ~have).sum(axis=1)
+        gain[chosen] = -1
+        pick = int(np.argmax(gain))  # the first largest: the smallest id
         chosen.append(pick)
         have |= covered[pick]
-        remaining.remove(pick)
-    return chosen
-
-
-def _max_min_dist(d: np.ndarray, picked: list[int], rest: list[int]) -> float:
-    if not rest:
-        return 0.0
-    return float(max(min(d[r, p] for p in picked) for r in rest))
+    return [sky_ids[p] for p in chosen]
 
 
 def distance_representative(ds: Dataset, k: int, mode: str = "greedy") -> list[str]:
@@ -113,38 +106,28 @@ def distance_representative(ds: Dataset, k: int, mode: str = "greedy") -> list[s
         raise ValueError("k must be >= 1")
     if mode not in ("greedy", "exact"):
         raise ValueError("mode must be 'greedy' or 'exact'")
-    sky_ids = sorted(skyline(ds))
-    kk = min(k, len(sky_ids))
-    if kk == len(sky_ids):
+    ids = ds.ids()
+    sky = _sky_by_id(ds)
+    sky_ids = [ids[i] for i in sky]
+    kk = min(k, len(sky))
+    if kk == len(sky):
         return sky_ids
-    by_id = ds.as_dict()
-    pts = np.array([by_id[s].attrs for s in sky_ids])
+    pts = ds.attr_array()[sky]
     d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
-    idx = list(range(len(sky_ids)))
     if mode == "exact":
-        if math.comb(len(sky_ids), kk) > EXACT_BUDGET:
+        if math.comb(len(sky), kk) > EXACT_BUDGET:
             raise ValueError("exact search exceeds the enumeration budget")
         best_val, best_combo = math.inf, None
-        for combo in combinations(idx, kk):
-            rest = [i for i in idx if i not in combo]
-            val = _max_min_dist(d, list(combo), rest)
+        for combo in combinations(range(len(sky)), kk):
+            # a chosen member's own distance is 0, below every other
+            val = d[:, list(combo)].min(axis=1).max()
             if val < best_val:
                 best_val, best_combo = val, combo
         return [sky_ids[i] for i in best_combo]
     # seed: the single center with the least worst-case distance, ties by id
-    best_val, seed = math.inf, 0
-    for i in idx:
-        val = max(d[i, j] for j in idx if j != i)
-        if val < best_val:
-            best_val, seed = val, i
-    picked = [seed]
+    picked = [int(np.argmin(d.max(axis=1)))]
     while len(picked) < kk:
-        far, pick = -1.0, None
-        for i in idx:
-            if i in picked:
-                continue
-            near = min(d[i, p] for p in picked)
-            if near > far:
-                far, pick = near, i
-        picked.append(pick)
+        near = d[:, picked].min(axis=1)
+        near[picked] = -1.0
+        picked.append(int(np.argmax(near)))  # the first farthest: the smallest id
     return [sky_ids[i] for i in picked]

@@ -6,8 +6,9 @@ interval of the first weight, where consecutive pairwise order breakpoints
 bound cells with a constant ranking, so the partition is exact; the
 breakpoints and the top-k label of every cell come from
 :mod:`.arrangement`, with the scoring and tie-break of ``top_k``. Three and
-four dimensions fall back to labelling a deterministic sample cloud, and the
-results are flagged as approximate.
+four dimensions fall back to labelling a deterministic sample cloud, every
+point through the same :func:`arrangement.cell_labels`, and the results are
+flagged as approximate.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 from . import arrangement
 from .dataset import Dataset
-from .queries import top_k
 from .regions import (
     EmptyRegionError,
     UnsupportedDimensionError,
@@ -78,12 +78,6 @@ def order_breakpoints(ds: Dataset, region: WeightRegion) -> list[float]:
     return arrangement.breakpoints(ds.attr_array(), lo, hi, BREAK_DEDUP)
 
 
-def _label_at(ds: Dataset, k: int, v: np.ndarray, ordered: bool):
-    ranked = top_k(ds, tuple(float(x) for x in v), k)
-    ids = ranked.ids()
-    return tuple(ids) if ordered else frozenset(ids)
-
-
 def _utk2_interval(ds: Dataset, k: int, region: WeightRegion, ordered: bool):
     lo, hi = region_interval_d2(region)
     if hi - lo <= 1e-15:
@@ -93,7 +87,7 @@ def _utk2_interval(ds: Dataset, k: int, region: WeightRegion, ordered: bool):
         cuts = np.array([lo] + order_breakpoints(ds, region) + [hi])
         mids = 0.5 * (cuts[:-1] + cuts[1:])
     ids = ds.ids()
-    labels = arrangement.cell_labels(ds.attr_array(), ids, k, mids)
+    labels = arrangement.cell_labels(ds.attr_array(), ids, k, np.stack([mids, 1.0 - mids], 1))
     # neighbouring cells with the same label merge
     key = labels if ordered else np.sort(labels, axis=1)
     change = np.flatnonzero((key[1:] != key[:-1]).any(axis=1)) + 1
@@ -134,9 +128,12 @@ def utk2(
         if v is None:
             raise EmptyRegionError("region is empty")
         samples = [v]
+    ids = ds.ids()
+    labels = arrangement.cell_labels(ds.attr_array(), ids, k, np.array(samples, dtype=float))
     groups: dict[object, list[tuple[float, ...]]] = {}
-    for v in samples:
-        label = _label_at(ds, k, v, order_sensitive)
+    for v, row in zip(samples, labels.tolist()):
+        got = [ids[i] for i in row]
+        label = tuple(got) if order_sensitive else frozenset(got)
         groups.setdefault(label, []).append(tuple(float(x) for x in v))
     return [
         PartitionCell(

@@ -1,5 +1,7 @@
 import math
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -38,6 +40,36 @@ def test_dataset_invariants():
         Dataset(("a1",), (Tuple("x", (2.0,)),), normalized=True)
 
 
+def test_attr_array_is_one_read_only_array(d1):
+    a = d1.attr_array()
+    assert d1.attr_array() is a
+    assert a.shape == (5, 2) and a.dtype == np.float64 and a.flags.c_contiguous
+    with pytest.raises(ValueError):
+        a[0, 0] = 0.0
+    g = generate("independent", 20, 3, 1)
+    assert g.attr_array() is g.attr_array() and not g.attr_array().flags.writeable
+    again = pickle.loads(pickle.dumps(g))
+    assert again == g and not again.attr_array().flags.writeable
+    # the tuple view is built once, from the array
+    assert g.tuples is g.tuples
+    assert [t.attrs for t in g.tuples] == [tuple(r) for r in g.attr_array().tolist()]
+
+
+@pytest.mark.parametrize(
+    "ids, values, normalized",
+    [
+        (["x", "y"], [[1.0, math.nan], [0.0, 0.0]], False),
+        (["x", "y"], [[1.0, 2.0], [math.inf, 0.0]], False),
+        (["x", "y"], [[1.0, 2.0], [-1.0, 0.0]], False),
+        (["x", "x"], [[1.0, 2.0], [0.0, 0.0]], False),
+        (["x", "y"], [[0.5, 0.5], [0.0, 1.5]], True),
+    ],
+)
+def test_array_constructor_rejects(ids, values, normalized):
+    with pytest.raises(ValueError):
+        Dataset._from_array(("a1", "a2"), ids, np.array(values), normalized)
+
+
 def test_load_csv_basic(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("id,a1,a2\na,1,5\nb,2,2\n")
@@ -73,6 +105,9 @@ def test_load_csv_errors(tmp_path):
     p.write_text("id,a1,a2\na,1,5\na,2,2\n")
     with pytest.raises(IngestionError, match="row 2: duplicate id"):
         load_csv(p)
+    p.write_text("id,a1,a2\na,1,5\n\nb,-2,2\n")
+    with pytest.raises(IngestionError, match="row 2: tuple 'b': attribute -2.0 must be"):
+        load_csv(p)
 
 
 def test_csv_round_trip(tmp_path, d1):
@@ -84,6 +119,13 @@ def test_csv_round_trip(tmp_path, d1):
     q = tmp_path / "twice.csv"
     write_csv(again, q)
     assert p.read_text() == q.read_text()
+
+
+def test_csv_round_trip_quoted_fields(tmp_path):
+    ds = Dataset(("a,1", 'a"2'), (Tuple("x,y", (1.0, 2.0)), Tuple('say "hi"', (0.5, 0.0))))
+    p = tmp_path / "out.csv"
+    write_csv(ds, p)
+    assert load_csv(p) == ds
 
 
 def test_round_trip_seventeen_digits(tmp_path):

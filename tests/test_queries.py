@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +9,7 @@ from skyselect import (
     Dataset,
     Tuple,
     check_weights,
+    epsilon_skyline,
     generate,
     k_skyband,
     pareto_dominates,
@@ -138,3 +141,19 @@ def test_skyband_nesting(n, seed):
         assert prev <= cur
         prev = cur
     assert k_skyband(ds, 1) == skyline(ds)
+
+
+def test_skyband_and_epsilon_skyline_memory_bounded():
+    # both compare every pair in column blocks: an n x n x d boolean cube
+    # at this size would be 75 MB
+    ds = generate("anticorrelated", 5000, 3, 19)
+    w = (0.2, 0.3, 0.5)
+    tracemalloc.start()
+    try:
+        band = k_skyband(ds, 2)
+        eskyline = epsilon_skyline(ds, w, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert skyline(ds) <= band and eskyline <= skyline(ds)
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
