@@ -37,31 +37,68 @@ import numpy as np
 
 from .queries import _best_k, _scores
 
-# elements per pairwise block: 256 KB per float temporary. Much larger
-# blocks run slower, since every fresh temporary then pays page faults.
+# elements per pairwise block: 256 KB per float temporary. A fresh
+# temporary of that size on every block pays a page fault per 4 KB page
+# whenever glibc has handed the freed memory back to the system: 52,000
+# minor faults in 12 rounds of the benchmark's 2-d mix, almost all in ord,
+# once no scipy import had grown the heap first. So the 2-d dominance and
+# span kernels compute into one workspace per call (:func:`_workspace`).
+# Halving the blocks avoids the faults too, but slows the 3-d kernels that
+# still allocate per block (in-process bulk, 2-5 % fewer queries a second).
 _BLOCK_ELEMS = 1 << 15
+
+
+def _width(rows: int) -> int:
+    return max(1, _BLOCK_ELEMS // max(rows, 1))
 
 
 def _blocks(rows: int, cols: int) -> Iterator[slice]:
     """Column slices whose (rows x width) temporaries stay near _BLOCK_ELEMS."""
-    width = max(1, _BLOCK_ELEMS // max(rows, 1))
+    width = _width(rows)
     for start in range(0, cols, width):
         yield slice(start, min(start + width, cols))
+
+
+def _workspace(size: int, floats: int, masks: int):
+    """Flat float and bool buffers of ``size`` elements for one kernel call.
+
+    Sized at the call's largest block, they are viewed at each block's shape
+    by :func:`_shaped`, so a call touches its pages once instead of once per
+    block.
+    """
+    return [np.empty(size) for _ in range(floats)], [
+        np.empty(size, dtype=bool) for _ in range(masks)
+    ]
+
+
+def _shaped(buffers: list[np.ndarray], rows: int, cols: int) -> list[np.ndarray]:
+    """C-contiguous (rows, cols) views of the front of each flat buffer."""
+    return [b[: rows * cols].reshape(rows, cols) for b in buffers]
 
 
 def _at(t: float) -> np.ndarray:
     return np.array([t, 1.0 - t])
 
 
-def _dominates(q: np.ndarray, s: np.ndarray, tol: float) -> np.ndarray:
+def _dominates(q: np.ndarray, s: np.ndarray, tol: float, work=None) -> np.ndarray:
     """Mask of whether row i of ``q`` dominates row j of ``s`` at the support points.
 
-    D = q_i - s_j is <= tol at every point and < -tol at one; Pareto at tol = 0."""
-    hi = lo = q[:, None, 0] - s[None, :, 0]
+    D = q_i - s_j is <= tol at every point and < -tol at one; Pareto at tol = 0.
+    ``work`` is a :func:`_workspace` of three floats and two masks to
+    compute in; the mask returned is then one of its buffers.
+    """
+    floats, masks = work or _workspace(len(q) * len(s), 3, 2)
+    hi, lo, diff = _shaped(floats, len(q), len(s))
+    below, above = _shaped(masks, len(q), len(s))
+    np.subtract(q[:, None, 0], s[None, :, 0], out=hi)
+    np.copyto(lo, hi)
     for c in range(1, s.shape[1]):
-        diff = q[:, None, c] - s[None, :, c]
-        hi, lo = np.maximum(hi, diff), np.minimum(lo, diff)
-    return (hi <= tol) & (lo < -tol)
+        np.subtract(q[:, None, c], s[None, :, c], out=diff)
+        np.maximum(hi, diff, out=hi)
+        np.minimum(lo, diff, out=lo)
+    np.less_equal(hi, tol, out=below)
+    np.less(lo, -tol, out=above)
+    return np.logical_and(below, above, out=below)
 
 
 def dominator_counts(
@@ -78,26 +115,39 @@ def dominator_counts(
     n = scores.shape[0]
     q = scores if dominators is None else scores[dominators]
     counts = np.zeros(n, dtype=int)
+    work = _workspace(len(q) * min(_width(len(q)), n), 3, 2)
     for cols in _blocks(len(q), n):
-        counts[cols] = _dominates(q, scores[cols], tol).sum(axis=0)
+        np.sum(_dominates(q, scores[cols], tol, work), axis=0, out=counts[cols])
     return counts
 
 
-def _rise_past(d_w: np.ndarray, s: np.ndarray, w1: float, tol: float) -> np.ndarray:
+def _rise_past(
+    d_w: np.ndarray, s: np.ndarray, w1: float, tol: float, out=None, work=None
+) -> np.ndarray:
     """Half-width h at which max(D) over the ball interval passes tol, elementwise.
 
     D(t) = d_w + s (t - w1); its larger end value d_w + |s| h rises with h
     until the simplex clips the interval on that side. Returns a negative
     value when max(D) > tol already at h = 0 and inf when the clip comes
-    first (or s = 0 and d_w <= tol).
+    first (or s = 0 and d_w <= tol). The result goes to ``out``, computed
+    in ``work``: one float buffer and two masks of the same shape. Fresh
+    ones are made when these are absent.
     """
-    num = tol - d_w
-    # |s| times the distance from w1 to the clip on the side where D rises
-    room = np.maximum(s * (1.0 - w1), s * -w1)
+    if out is None:
+        out = np.empty(np.shape(d_w))
+    if work is None:
+        work = np.empty_like(out), np.empty(out.shape, dtype=bool), np.empty(out.shape, dtype=bool)
+    num, clipped, other = work
+    np.subtract(tol, d_w, out=num)
+    # the clip comes first when num reaches |s| times the distance from w1
+    # to the clip on the side where D rises, max(s (1 - w1), -s w1)
+    np.greater_equal(num, np.multiply(s, 1.0 - w1, out=out), out=clipped)
+    np.greater_equal(num, np.multiply(s, -w1, out=out), out=other)
+    np.logical_and(clipped, other, out=clipped)
     with np.errstate(divide="ignore", invalid="ignore"):
-        h = num / np.abs(s)
-    np.copyto(h, np.inf, where=num >= room)
-    return h
+        np.divide(num, np.abs(s, out=out), out=out)
+    np.copyto(out, np.inf, where=clipped)
+    return out
 
 
 def _pair_spans(d_w: np.ndarray, s: np.ndarray, w1: float, tol: float):
@@ -164,18 +214,27 @@ def survival_spans(
     slope = (a[:, 0] - a[:, 1])[order]
     xs: list[np.ndarray] = []
     ys: list[np.ndarray] = []
+    # the row prefix grows from block to block, up to all n rows
+    floats, masks = _workspace(n * min(_width(n), n), 4, 3)
     for cols in _blocks(n, n):
         rows = int(np.searchsorted(p, p[cols.stop - 1] + tol, "right"))
-        d_w = p[:rows, None] - p[None, cols]
-        s = slope[:rows, None] - slope[None, cols]
+        d_w, s, stops, num = _shaped(floats, rows, cols.stop - cols.start)
+        tied, far, spare = _shaped(masks, rows, cols.stop - cols.start)
+        np.subtract(p[:rows, None], p[None, cols], out=d_w)
+        np.subtract(slope[:rows, None], slope[None, cols], out=s)
         # pairs dominating from h = 0 stop where D at its rising end passes tol
-        stops = np.where(d_w < -tol, _rise_past(d_w, s, w1, tol), -np.inf)
+        _rise_past(d_w, s, w1, tol, stops, (num, tied, spare))
+        np.copyto(stops, -np.inf, where=np.greater_equal(d_w, -tol, out=far))
         if k <= rows:
-            kth = np.partition(stops, rows - k, axis=0)[rows - k]
+            # in place: what is read of a column later is its k-th value and
+            # the multiset of its values, which the partition keeps
+            stops.partition(rows - k, axis=0)
+            kth = stops[rows - k]
         else:
             kth = np.full(stops.shape[1], -np.inf)
         # pairs tied at w to within tol may start dominating at some h > 0
-        tied = (np.abs(d_w) <= tol) & (s != 0.0)
+        np.less_equal(np.abs(d_w, out=num), tol, out=tied)
+        np.logical_and(tied, np.not_equal(s, 0.0, out=far), out=tied)
         late = np.zeros(stops.shape[1], dtype=bool)
         for c in np.flatnonzero(tied.any(axis=0)):
             pairs = np.flatnonzero(tied[:, c])

@@ -32,7 +32,13 @@ import numpy as np
 from . import arrangement
 from .dataset import Dataset, Tuple
 from .queries import check_weights
-from .regions import ball_region, exists_weak_optimum, grid_sample, region_interval_d2
+from .regions import (
+    MAX_VERTEX_DIM,
+    ball_region,
+    exists_weak_optimum,
+    grid_sample,
+    region_interval_d2,
+)
 from .flexible import DOM_TOL, _dominator_counts, f_dominates
 
 RHO_MAX = math.sqrt(2.0)
@@ -225,7 +231,16 @@ def _members(a: np.ndarray, w: np.ndarray, rho: float, k_depth: int) -> np.ndarr
             return arrangement.beaten_below(a, lo, k_depth)
         left, right = arrangement.reach(a, float(w[0]), k_depth)
         return (left > lo) | (right < hi)
-    return np.array([_member_general(a, i, w, rho, k_depth) for i in range(len(a))], dtype=bool)
+    rows = range(len(a))
+    if k_depth == 1 and a.shape[1] <= MAX_VERTEX_DIM:
+        # a row ball-dominated under DOM_TOL beats its dominator by more
+        # than DOM_TOL nowhere on the ball, so with DOM_TOL <= STRICT_MARGIN
+        # it is strictly optimal nowhere: only the rows the exact
+        # simplex-ball kernel keeps need the existence test
+        rows = np.flatnonzero(_survivors(a, w, rho, 1))
+    out = np.zeros(len(a), dtype=bool)
+    out[rows] = [_member_general(a, i, w, rho, k_depth) for i in rows]
+    return out
 
 
 def _membership(ds: Dataset, w: np.ndarray, rho: float, k_depth: int) -> set[str]:

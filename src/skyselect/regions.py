@@ -28,22 +28,43 @@ Optimization strategy:
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize
 
 from .arrangement import _blocks, envelope_argmin
+
+
+class _LazyModule:
+    """Stands in for a module and imports it on the first attribute access.
+
+    Only the SLSQP and ``linprog`` paths need ``scipy.optimize``, and its
+    import costs more than most queries, so ``import skyselect`` leaves
+    scipy unloaded until a solver runs. ``optimize`` stays a plain module
+    attribute that callers can replace.
+    """
+
+    def __init__(self, name: str) -> None:
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+optimize = _LazyModule("scipy.optimize")
 
 CONTAIN_TOL = 1e-9
 STRICT_MARGIN = 1e-12
 VERTEX_DEDUP = 1e-9
 MAX_VERTEX_DIM = 7
 MAX_GRID_DIM = 4
+# grid_sample decides points this close to a bound with the scalar test
+_GRID_EDGE = 1e-6
 # a face candidate of the simplex-ball kernel may undershoot 0 by this much
 # from rounding; it is then clipped onto the face
 FACE_TOL = 1e-14
@@ -556,20 +577,38 @@ def linear_range(reg: WeightRegion, c: Sequence[float]) -> tuple[float, float]:
     return mn, -neg
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
+def _lattice_slices(resolution: int, dim: int) -> Iterator[np.ndarray]:
+    """Compositions of ``resolution`` into ``dim`` non-negative parts.
+
+    They come in lexicographic order, as one integer (count, dim) table per
+    value of the first part, built from one table of the middle parts.
+    """
+    if dim == 1:
+        yield np.array([[resolution]])
         return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    # every (c_2, ..., c_{d-1}) with sum <= resolution, in lexicographic order
+    if dim == 2:
+        middle = np.zeros((1, 0), dtype=np.int64)
+    else:
+        middle = np.indices((resolution + 1,) * (dim - 2)).reshape(dim - 2, -1).T
+    total = middle.sum(axis=1)
+    for head in range(resolution + 1):
+        rest = resolution - head
+        fits = total <= rest
+        comp = np.empty((int(fits.sum()), dim), dtype=np.int64)
+        comp[:, 0] = head
+        comp[:, 1:-1] = middle[fits]
+        comp[:, -1] = rest - total[fits]
+        yield comp
 
 
 def grid_sample(reg: WeightRegion, resolution: int) -> list[np.ndarray]:
     """Simplex lattice points (multiples of 1/resolution) inside the region.
 
     Used by the sampled UTK path and as a brute-force oracle in the test
-    suite. An empty region yields an empty list.
+    suite. An empty region yields an empty list. Points come in
+    lexicographic order of their coordinates, and each is kept exactly when
+    ``reg.contains`` accepts it.
     """
     if reg.dim > MAX_GRID_DIM:
         raise UnsupportedDimensionError(
@@ -578,10 +617,23 @@ def grid_sample(reg: WeightRegion, resolution: int) -> list[np.ndarray]:
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     pts: list[np.ndarray] = []
-    for comp in _compositions(resolution, reg.dim):
-        v = np.array(comp, dtype=float) / resolution
-        if reg.contains(v):
-            pts.append(v)
+    for comp in _lattice_slices(resolution, reg.dim):
+        v = comp / resolution
+        # lattice points are non-negative and sum to 1 within a few ulps, so
+        # only the constraints and the ball can reject one. Margins computed
+        # here may differ from ``contains`` in the last bits, so points
+        # within _GRID_EDGE of a bound are decided by ``contains`` itself
+        margin = np.full(len(v), np.inf)
+        for con in reg.constraints:
+            tol = STRICT_MARGIN if con.strict else CONTAIN_TOL  # as in ``holds``
+            np.minimum(margin, tol - (v @ np.asarray(con.coeffs) - con.rhs), out=margin)
+        if reg.ball is not None:
+            dist = np.linalg.norm(v - np.asarray(reg.ball.center), axis=1)
+            np.minimum(margin, reg.ball.radius + CONTAIN_TOL - dist, out=margin)
+        keep = margin > _GRID_EDGE
+        for i in np.flatnonzero(np.abs(margin) <= _GRID_EDGE):
+            keep[i] = reg.contains(v[i])
+        pts.extend(v[keep])
     return pts
 
 

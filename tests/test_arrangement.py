@@ -10,6 +10,7 @@ common, and weights at 0, 1 or near them make the simplex clip the ball.
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ from skyselect import (
     region_interval_d2,
     utk2,
 )
-from skyselect.arrangement import envelope_argmin
+from skyselect import arrangement
+from skyselect.arrangement import dominator_counts, envelope_argmin, survival_spans
 from skyselect.oss import _membership
 
 from .oracles import brute_topk_at
@@ -278,3 +280,38 @@ def test_memory_stays_bounded_at_n_5000():
         tracemalloc.stop()
     assert len(survivors) >= 1 and len(res.ids) == 12
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def _block_cases():
+    """Tie-heavy rows on a grid of quarters, duplicates included, and a
+    generated dataset; (rows, size giving a partial last block)."""
+    rng = np.random.default_rng(17)
+    quarters = rng.integers(0, 5, size=(37, 2)) / 4.0
+    anti = generate("anticorrelated", 300, 2, 5).attr_array()
+    # 37 rows at 5 columns a block, 300 rows at 7: both end in a partial block
+    return [(quarters, 37 * 5), (np.vstack([anti, anti[:20]]), 320 * 7)]
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_blocked_kernels_do_not_depend_on_the_block_size(case):
+    # the kernels compute into one workspace viewed at each block's shape;
+    # one column per block, the default and a partial last block must agree
+    a, partial = _block_cases()[case]
+    sky = np.flatnonzero(dominator_counts(a, 0.0) == 0)
+
+    def run():
+        out = []
+        for w1 in (0.0, 0.3, 0.5, 1.0):
+            scores = a @ np.array([[w1, 1.0 - w1], [1.0, 0.0]]).T
+            for tol in (0.0, 1e-12):
+                out.append(dominator_counts(scores, tol).tolist())
+                out.append(dominator_counts(scores, tol, sky).tolist())
+            for k in (1, 2, 3):
+                x, y = survival_spans(a, w1, k, 1e-12)
+                out.append(sorted(zip(x.tolist(), y.tolist())))
+        return out
+
+    default = run()
+    for elems in (1, partial):
+        with mock.patch.object(arrangement, "_BLOCK_ELEMS", elems):
+            assert run() == default

@@ -175,3 +175,30 @@ def test_ord_kdepth_relaxes_more(d1):
             d1_ids = non_rho_dominated(ds, w, rho, k_depth=1)
             d2_ids = non_rho_dominated(ds, w, rho, k_depth=2)
             assert d1_ids <= d2_ids
+
+
+def test_dominance_tolerance_is_within_the_strict_margin():
+    # oru membership in d >= 3 runs the existence test only on rows that no
+    # other row ball-dominates. That drops no member because a dominated row
+    # beats its dominator by at most DOM_TOL anywhere on the ball, while a
+    # strict optimum must beat every rival by more than STRICT_MARGIN (up to
+    # the CONTAIN_TOL by which an accepted witness may sit off the ball)
+    from skyselect.flexible import DOM_TOL
+    from skyselect.regions import STRICT_MARGIN
+
+    assert DOM_TOL <= STRICT_MARGIN
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_oru_members_filtered_by_ball_dominance_are_unchanged(d):
+    # values on a grid of quarters: duplicates and ties at the ball's points
+    from skyselect.oss import _member_general, _members
+
+    rng = np.random.default_rng(50 + d)
+    for _ in range(4):
+        a = rng.integers(0, 5, size=(9, d)) / 4.0
+        a[-1] = a[0]
+        w = rng.dirichlet(np.ones(d) * 2.0)
+        for rho in (0.0, 0.05, 0.2, 0.6):
+            unfiltered = [_member_general(a, i, w, rho, 1) for i in range(len(a))]
+            assert _members(a, w, rho, 1).tolist() == unfiltered

@@ -1,3 +1,4 @@
+import itertools
 import math
 from types import SimpleNamespace
 from unittest import mock
@@ -160,6 +161,36 @@ def test_grid_sample_examples():
     assert grid_sample(empty, 10) == []
     with pytest.raises(UnsupportedDimensionError):
         grid_sample(full_simplex(5), 4)
+
+
+@pytest.mark.parametrize(
+    "reg",
+    [
+        full_simplex(1),
+        full_simplex(3),
+        full_simplex(4),
+        REG_A,
+        # constraints and a ball passing through lattice points, strict or not
+        WeightRegion(3, (LinearConstraint((1.0, -1.0, 0.0), 0.25),)),
+        WeightRegion(3, (LinearConstraint((1.0, -3.0, 0.0), 0.0, strict=True),)),
+        WeightRegion(4, tuple(LinearConstraint(tuple(float(i == j) for j in range(4)), 0.375)
+                              for i in range(4))),
+        ball_region((0.25, 0.25, 0.5), 0.25),
+        WeightRegion(4, (LinearConstraint((1.0, 2.0, -1.0, 0.5), 0.1),),
+                     Ball((0.1, 0.2, 0.3, 0.4), 0.3)),
+    ],
+)
+def test_grid_sample_is_the_filtered_lattice(reg):
+    # the lattice in lexicographic order, each point tested on its own
+    for res in (1, 8, 24):
+        expect = [
+            np.array(comp, dtype=float) / res
+            for comp in itertools.product(range(res + 1), repeat=reg.dim)
+            if sum(comp) == res and reg.contains(np.array(comp, dtype=float) / res)
+        ]
+        got = grid_sample(reg, res)
+        assert np.array(got).tobytes() == np.array(expect).tobytes()
+        assert len(got) == len(expect)
 
 
 def test_feasibility_and_emptiness():
