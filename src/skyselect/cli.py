@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections.abc import Sequence
 
@@ -26,8 +27,8 @@ from .dataset import Dataset, DISTRIBUTIONS, generate, load_csv, normalize, writ
 from .epsilon import epsilon_skyline
 from .flexible import nd, po
 from .oss import UnreachableSizeError, ord_query, oru_query
-from .queries import k_skyband, skyline, top_k
-from .regions import WeightRegion, full_simplex, parse_region
+from .queries import check_weights, k_skyband, skyline, top_k
+from .regions import Ball, WeightRegion, full_simplex, parse_region
 from .representative import distance_representative, dominance_representative
 from .utk import utk1, utk2
 
@@ -96,8 +97,10 @@ def _parse_weights(text: str, dim: int) -> tuple[float, ...]:
         raise UsageError(f"malformed --weights value: {text!r}")
     if len(w) != dim:
         raise UsageError(f"--weights needs {dim} components, got {len(w)}")
-    if any(x < -1e-9 for x in w) or abs(sum(w) - 1.0) > 1e-9:
-        raise UsageError("--weights must be non-negative and sum to 1")
+    try:
+        check_weights(w, dim)
+    except ValueError as exc:
+        raise UsageError(f"--weights: {exc}") from None
     return w
 
 
@@ -199,12 +202,10 @@ def _region_maybe_ball(args, ds: Dataset) -> WeightRegion:
     """nd/po accept either a region file or a ball given by --weights/--rho."""
     reg = _load_region(args, ds)
     if args.rho is not None:
-        if args.rho < 0.0:
-            raise UsageError("--rho must be >= 0")
+        if not 0.0 <= args.rho < math.inf:
+            raise UsageError("--rho must be finite and >= 0")
         if args.weights is None:
             raise UsageError("--rho requires --weights for the ball center")
-        from .regions import Ball
-
         w = _parse_weights(args.weights, ds.dim)
         reg = WeightRegion(ds.dim, reg.constraints, Ball(w, args.rho))
     return reg
@@ -290,11 +291,7 @@ def _cmd_compare(args) -> int:
         if args.weights is not None
         else tuple(1.0 / dim for _ in range(dim))
     )
-    if args.region is not None:
-        with open(args.region, encoding="utf-8") as fh:
-            reg = parse_region(fh.read(), dim, names=ds.schema)
-    else:
-        reg = full_simplex(dim)
+    reg = _load_region(args, ds)
     k, m, eps = args.k, args.m, args.eps
     if k < 1 or m < 1:
         raise UsageError("--k and --m must be >= 1")

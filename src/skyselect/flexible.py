@@ -26,13 +26,12 @@ from .regions import (
     LinearConstraint,
     WeightRegion,
     _as_attr_vector,
+    _support_points,
     exists_weak_optimum,
     find_feasible_point,
     linear_range,
     maximize_linear,
     minimize_linear,
-    region_interval_d2,
-    region_vertices,
     simplex_ball_range,
 )
 
@@ -64,21 +63,6 @@ def f_dominates(r1: Tuple, r2: Tuple, reg: WeightRegion) -> bool:
     c = np.asarray(r1.attrs, dtype=float) - np.asarray(r2.attrs, dtype=float)
     lo, hi = linear_range(reg, c)
     return hi <= DOM_TOL and lo < -DOM_TOL
-
-
-def _support_points(reg: WeightRegion) -> np.ndarray | None:
-    """Points whose score extremes decide region dominance, when finite.
-
-    For a polytope the vertices work at any dimension; in dimension 2 every
-    region reduces to an interval whose endpoints work even with a ball.
-    Returns None when no finite support set exists (ball, dim >= 3).
-    """
-    if reg.dim == 2:
-        lo, hi = region_interval_d2(reg)
-        return np.array([[lo, 1.0 - lo], [hi, 1.0 - hi]])
-    if reg.ball is None:
-        return region_vertices(reg)
-    return None
 
 
 def _beaten(reg: WeightRegion, diffs: np.ndarray) -> np.ndarray:

@@ -97,6 +97,8 @@ def check_weights(w: Sequence[float], dim: int) -> np.ndarray:
     v = np.asarray(w, dtype=float)
     if v.shape != (dim,):
         raise ValueError(f"weight vector must have length {dim}")
+    if not np.isfinite(v).all():
+        raise ValueError("weight vector must be finite")
     if (v < -SCORE_TOL).any() or abs(float(v.sum()) - 1.0) > SCORE_TOL:
         raise ValueError("weight vector must be on the probability simplex")
     return v

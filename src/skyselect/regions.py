@@ -38,6 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arrangement import _blocks, envelope_argmin
+from .queries import _scores
 
 
 class _LazyModule:
@@ -89,6 +90,8 @@ class LinearConstraint:
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         object.__setattr__(self, "rhs", float(self.rhs))
+        if not np.isfinite(self.coeffs + (self.rhs,)).all():
+            raise ValueError("constraint coefficients and bound must be finite")
 
     def value(self, v: Sequence[float]) -> float:
         return float(np.dot(self.coeffs, v))
@@ -113,9 +116,11 @@ class Ball:
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(self, "radius", float(self.radius))
-        if self.radius < 0.0:
-            raise ValueError("ball radius must be >= 0")
+        if not 0.0 <= self.radius < math.inf:
+            raise ValueError("ball radius must be finite and >= 0")
         c = np.asarray(self.center, dtype=float)
+        if not np.isfinite(c).all():
+            raise ValueError("ball center must be finite")
         if (c < -CONTAIN_TOL).any() or abs(float(c.sum()) - 1.0) > CONTAIN_TOL:
             raise ValueError("ball center must lie on the probability simplex")
 
@@ -326,13 +331,19 @@ def is_empty(reg: WeightRegion) -> bool:
     return find_feasible_point(reg) is None
 
 
-def _interval_minimize(reg: WeightRegion, c: np.ndarray) -> tuple[float, np.ndarray]:
-    lo, hi = region_interval_d2(reg)
-    v_lo = c[0] * lo + c[1] * (1.0 - lo)
-    v_hi = c[0] * hi + c[1] * (1.0 - hi)
-    if v_lo <= v_hi:
-        return float(v_lo), np.array([lo, 1.0 - lo])
-    return float(v_hi), np.array([hi, 1.0 - hi])
+def _support_points(reg: WeightRegion) -> np.ndarray | None:
+    """Points where every linear function takes its extremes over the region.
+
+    In dimension 2 every region reduces to an interval whose two ends work,
+    even with a ball; a polytope's vertices work at any dimension. Returns
+    None when no finite support set exists (a ball in dimension >= 3).
+    """
+    if reg.dim == 2:
+        lo, hi = region_interval_d2(reg)
+        return np.array([[lo, 1.0 - lo], [hi, 1.0 - hi]])
+    if reg.ball is None:
+        return region_vertices(reg)
+    return None
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -455,6 +466,40 @@ def _guided_point(reg: WeightRegion, c: np.ndarray) -> np.ndarray | None:
     return x if _contains_closure(reg, x, 1e-7) else None
 
 
+def _constraint_arrays(reg: WeightRegion) -> tuple[np.ndarray, np.ndarray]:
+    """The region's linear constraints as a (k, dim) matrix C and bounds b: C v <= b."""
+    coeffs = np.array([con.coeffs for con in reg.constraints], dtype=float)
+    return coeffs.reshape(-1, reg.dim), np.array([con.rhs for con in reg.constraints])
+
+
+def _slsqp_constraints(reg: WeightRegion, extra: int) -> list[dict]:
+    """SLSQP constraints of a ball region on y = (v, extra free variables).
+
+    The simplex equality, every linear constraint as one vector-valued
+    inequality with a constant Jacobian, and the ball.
+    """
+    d = reg.dim
+    w = np.asarray(reg.ball.center, dtype=float)
+    rho = reg.ball.radius
+    pad = np.zeros(extra)
+    eq_jac = np.append(np.ones(d), pad)
+    cons = [{"type": "eq", "fun": lambda y: float(y[:d].sum()) - 1.0, "jac": lambda y: eq_jac}]
+    if reg.constraints:
+        coeffs, rhs = _constraint_arrays(reg)
+        jac = np.hstack([-coeffs, np.zeros((len(coeffs), extra))])
+        cons.append(
+            {"type": "ineq", "fun": lambda y: rhs - coeffs @ y[:d], "jac": lambda y: jac}
+        )
+    cons.append(
+        {
+            "type": "ineq",
+            "fun": lambda y: rho * rho - float((y[:d] - w) @ (y[:d] - w)),
+            "jac": lambda y: np.append(-2.0 * (y[:d] - w), pad),
+        }
+    )
+    return cons
+
+
 def _minimize_linear_numeric(reg: WeightRegion, c: np.ndarray) -> tuple[float, np.ndarray]:
     ball = reg.ball
     assert ball is not None
@@ -469,26 +514,7 @@ def _minimize_linear_numeric(reg: WeightRegion, c: np.ndarray) -> tuple[float, n
     x0 = find_feasible_point(reg)
     if x0 is None:
         raise EmptyRegionError("empty region")
-
-    cons: list[dict] = [
-        {"type": "eq", "fun": lambda v: float(v.sum()) - 1.0, "jac": lambda v: np.ones(d)}
-    ]
-    for con in reg.constraints:
-        a = np.asarray(con.coeffs, dtype=float)
-        cons.append(
-            {
-                "type": "ineq",
-                "fun": (lambda v, a=a, b=con.rhs: b - float(a @ v)),
-                "jac": (lambda v, a=a: -a),
-            }
-        )
-    cons.append(
-        {
-            "type": "ineq",
-            "fun": lambda v: rho * rho - float((v - w) @ (v - w)),
-            "jac": lambda v: -2.0 * (v - w),
-        }
-    )
+    cons = _slsqp_constraints(reg, 0)
 
     guided = _guided_point(reg, c)
     starts = [x0] if guided is None else [x0, guided]
@@ -523,10 +549,10 @@ def minimize_linear(
 ) -> tuple[float, np.ndarray]:
     """Minimize ``c . v`` over the region closure; returns (value, argmin).
 
-    ``method`` picks the evaluation path: ``auto`` chooses exact vertex
-    scanning for polytopes, the exact interval reduction for 2-d ball
-    regions, the exact face enumeration of :func:`simplex_ball_range` for a
-    ball without constraints, and the numeric path otherwise; ``numeric``
+    ``method`` picks the evaluation path: ``auto`` scans the finite support
+    of :func:`_support_points` (the interval ends in 2-d, the vertices of a
+    polytope), uses the exact face enumeration of :func:`simplex_ball_range`
+    for a ball without constraints, and the numeric path otherwise; ``numeric``
     forces the solver path (the tests compare it against the exact routes).
     """
     cv = np.asarray(c, dtype=float)
@@ -538,13 +564,11 @@ def minimize_linear(
         if reg.ball is None:
             raise ValueError("numeric path requires a ball region")
         return _minimize_linear_numeric(reg, cv)
-    if reg.ball is None:
-        verts = region_vertices(reg)
-        vals = verts @ cv
+    support = _support_points(reg)
+    if support is not None:
+        vals = _scores(support, cv)
         i = int(np.argmin(vals))
-        return float(vals[i]), verts[i]
-    if reg.dim == 2:
-        return _interval_minimize(reg, cv)
+        return float(vals[i]), support[i]
     if _enumerable_ball(reg):
         return _simplex_ball_argmin(cv, reg.ball)
     return _minimize_linear_numeric(reg, cv)
@@ -560,15 +584,10 @@ def maximize_linear(
 def linear_range(reg: WeightRegion, c: Sequence[float]) -> tuple[float, float]:
     """(min, max) of ``c . v`` over the region closure."""
     cv = np.asarray(c, dtype=float)
-    if reg.ball is None:
-        verts = region_vertices(reg)
-        vals = verts @ cv
+    support = _support_points(reg)
+    if support is not None:
+        vals = _scores(support, cv)
         return float(vals.min()), float(vals.max())
-    if reg.dim == 2:
-        lo, hi = region_interval_d2(reg)
-        v_lo = float(cv[0] * lo + cv[1] * (1.0 - lo))
-        v_hi = float(cv[0] * hi + cv[1] * (1.0 - hi))
-        return min(v_lo, v_hi), max(v_lo, v_hi)
     if _enumerable_ball(reg):
         lo, hi = simplex_ball_range(cv[None, :], reg.ball)
         return float(lo[0]), float(hi[0])
@@ -654,45 +673,16 @@ def _exists_numeric_ball(reg: WeightRegion, diffs: np.ndarray) -> tuple[float, n
     ball = reg.ball
     assert ball is not None
     d = reg.dim
-    w = np.asarray(ball.center, dtype=float)
-    rho = ball.radius
     x0 = find_feasible_point(reg)
     if x0 is None:
         raise EmptyRegionError("empty region")
-    if rho <= 1e-15:
+    if ball.radius <= 1e-15:
         return float(np.max(diffs @ x0)), x0
 
-    m = diffs.shape[0]
-    cons: list[dict] = [
-        {
-            "type": "eq",
-            "fun": lambda y: float(y[:d].sum()) - 1.0,
-            "jac": lambda y: np.append(np.ones(d), 0.0),
-        },
-        {
-            "type": "ineq",
-            "fun": lambda y: rho * rho - float((y[:d] - w) @ (y[:d] - w)),
-            "jac": lambda y: np.append(-2.0 * (y[:d] - w), 0.0),
-        },
+    rival_jac = np.hstack([-diffs, np.ones((len(diffs), 1))])
+    cons = _slsqp_constraints(reg, 1) + [
+        {"type": "ineq", "fun": lambda y: y[d] - diffs @ y[:d], "jac": lambda y: rival_jac}
     ]
-    for i in range(m):
-        row = diffs[i]
-        cons.append(
-            {
-                "type": "ineq",
-                "fun": (lambda y, row=row: y[d] - float(row @ y[:d])),
-                "jac": (lambda y, row=row: np.append(-row, 1.0)),
-            }
-        )
-    for con in reg.constraints:
-        a = np.asarray(con.coeffs, dtype=float)
-        cons.append(
-            {
-                "type": "ineq",
-                "fun": (lambda y, a=a, b=con.rhs: b - float(a @ y[:d])),
-                "jac": (lambda y, a=a: np.append(-a, 0.0)),
-            }
-        )
 
     obj_jac = np.append(np.zeros(d), 1.0)
 
@@ -735,34 +725,36 @@ def exists_weak_optimum(
 ) -> tuple[bool, np.ndarray | None]:
     """Decide whether some v in the region makes ``target`` beat every rival.
 
-    Weak mode asks for ``v . target <= v . r`` against every rival; strict
-    mode asks for ``<`` against every rival whose attribute vector differs
-    from the target's. Decisions are certified on an explicit witness: the
+    ``rivals`` is an (m, d) array of attribute rows, or an iterable of
+    :class:`Tuple` records or attribute sequences. Weak mode asks for
+    ``v . target <= v . r`` against every rival; strict mode asks for ``<``
+    against every rival whose attribute vector differs from the target's.
+    Decisions are certified on an explicit witness: the
     returned vector achieves max-gap <= 1e-12 (weak) or < -1e-12 (strict).
     Witnesses violating a strict region constraint are nudged toward the
     region interior before being rejected.
     """
     t = _as_attr_vector(target)
-    rows = []
-    for r in rivals:
-        ra = _as_attr_vector(r)
-        if ra.shape != t.shape:
-            raise ValueError("rival dimension does not match target")
-        if np.array_equal(ra, t):
-            continue
-        rows.append(t - ra)
-    if not rows:
+    if not isinstance(rivals, np.ndarray):
+        rivals = [getattr(x, "attrs", x) for x in rivals]
+    try:
+        r = np.asarray(rivals, dtype=float)
+    except ValueError:  # ragged rows
+        raise ValueError("rival dimension does not match target") from None
+    if r.size == 0:
+        r = r.reshape(0, t.size)
+    if r.shape[1:] != t.shape:
+        raise ValueError("rival dimension does not match target")
+    diffs = np.unique(t - r[(r != t).any(axis=1)], axis=0)
+    if not len(diffs):
         fp = find_feasible_point(reg)
         if fp is None:
             raise EmptyRegionError("empty region")
         return True, fp
-    diffs = np.unique(np.array(rows, dtype=float), axis=0)
-
-    limit = -STRICT_MARGIN if strict else STRICT_MARGIN
 
     def admissible(v: np.ndarray) -> bool:
         g = float(np.max(diffs @ v))
-        return g < -STRICT_MARGIN if strict else g <= limit
+        return g < -STRICT_MARGIN if strict else g <= STRICT_MARGIN
 
     def finish(v: np.ndarray) -> tuple[bool, np.ndarray | None]:
         if reg.contains(v):
@@ -809,16 +801,15 @@ def exists_weak_optimum(
             best_val, best_x = val, x
     elif reg.ball is None:
         d = reg.dim
-        m = diffs.shape[0]
-        a_ub = [np.append(diffs[i], -1.0) for i in range(m)]
-        b_ub = [0.0] * m
-        for con in reg.constraints:
-            a_ub.append(np.append(np.asarray(con.coeffs, dtype=float), 0.0))
-            b_ub.append(con.rhs)
+        coeffs, rhs = _constraint_arrays(reg)
+        a_ub = np.block(
+            [[diffs, -np.ones((len(diffs), 1))], [coeffs, np.zeros((len(coeffs), 1))]]
+        )
+        b_ub = np.concatenate([np.zeros(len(diffs)), rhs])
         res = optimize.linprog(
             c=np.append(np.zeros(d), 1.0),
-            A_ub=np.array(a_ub),
-            b_ub=np.array(b_ub),
+            A_ub=a_ub,
+            b_ub=b_ub,
             A_eq=np.append(np.ones(d), 0.0).reshape(1, -1),
             b_eq=np.array([1.0]),
             bounds=[(0.0, None)] * d + [(None, None)],

@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .arrangement import _blocks, _dominates
+from .arrangement import _blocks, _dominates, _width, _workspace
 from .dataset import Dataset
 from .queries import _skyline_rows
 
@@ -39,8 +39,9 @@ def _covered(a: np.ndarray, rows: list[int]) -> np.ndarray:
     No tuple dominates a skyline row, so for those every covered tuple is off it."""
     q = a[rows]
     out = np.zeros((len(q), len(a)), dtype=bool)
+    work = _workspace(len(q) * min(_width(len(q)), len(a)), 3, 2)
     for cols in _blocks(len(q), len(a)):
-        out[:, cols] = _dominates(q, a[cols], 0.0)
+        out[:, cols] = _dominates(q, a[cols], 0.0, work)
     return out
 
 

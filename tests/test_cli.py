@@ -232,3 +232,15 @@ def test_compare_controlled_labels_match_cardinality(capsys, d1_csv):
             # the printed cardinality must equal the request it claims to match
             size = int(line.split("cardinality ")[1].split(" ")[0])
             assert size == 2
+
+
+def test_non_finite_weights_and_rho_are_usage_errors(capsys, d1_csv):
+    code, out, err = run(
+        capsys, "query", "topk", "--data", d1_csv, "--weights", "nan,nan", "--k", "3"
+    )
+    assert code == 2 and out == "" and "finite" in err
+    for rho in ("nan", "inf"):
+        code, _, err = run(
+            capsys, "query", "nd", "--data", d1_csv, "--weights", "0.5,0.5", "--rho", rho
+        )
+        assert code == 2 and "--rho" in err

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -72,6 +73,15 @@ def test_check_weights():
         check_weights((-0.1, 1.1), 2)
     with pytest.raises(ValueError):
         check_weights((1.0,), 2)
+
+
+def test_non_finite_weights_are_rejected(d1):
+    # every comparison with NaN is false, so NaN passed the range checks
+    for w in ((math.nan, math.nan), (math.inf, -math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            check_weights(w, 2)
+        with pytest.raises(ValueError):
+            top_k(d1, w, 3)
 
 
 def test_threshold_matches_plain_topk(d1):

@@ -368,3 +368,96 @@ def test_exists_weak_optimum_raises_on_an_uncertified_linprog():
     with mock.patch.object(regions, "optimize", stalled):
         with pytest.raises(RuntimeError, match="iteration limit"):
             exists_weak_optimum(reg, target, [rival], strict=True)
+
+
+def test_non_finite_ball_and_constraint_are_rejected():
+    for radius in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Ball((0.5, 0.5), radius)
+    with pytest.raises(ValueError):
+        Ball((math.nan, 0.5), 0.1)
+    with pytest.raises(ValueError):
+        LinearConstraint((math.nan, 1.0), 0.5)
+    with pytest.raises(ValueError):
+        LinearConstraint((1.0, 1.0), math.inf)
+    with pytest.raises(ValueError):
+        parse_region("nan w1 + 1 w2 <= 0.5", 2)
+
+
+def _constraint_counts(reg, target, rivals):
+    """Lengths of the constraint lists SLSQP receives in one existence test."""
+    real = regions.optimize
+    counts = []
+
+    def minimize(fun, x0, **kwargs):
+        counts.append(len(kwargs["constraints"]))
+        return real.minimize(fun, x0, **kwargs)
+
+    spy = SimpleNamespace(minimize=minimize, linprog=real.linprog)
+    with mock.patch.object(regions, "optimize", spy):
+        exists_weak_optimum(reg, target, rivals, strict=True)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "reg",
+    [
+        ball_region((1 / 3, 1 / 3, 1 / 3), 0.3),
+        WeightRegion(
+            3,
+            (LinearConstraint((1.0, -1.0, 0.0), 0.2), LinearConstraint((0.0, 1.0, -1.0), 0.3)),
+            Ball((1 / 3, 1 / 3, 1 / 3), 0.3),
+        ),
+    ],
+)
+def test_slsqp_constraint_count_does_not_grow_with_rivals(reg):
+    # tied with the first rival at the center, so only SLSQP decides
+    target = np.array([0.0, 1.0, 0.5])
+    rivals = np.array([[0.5, 0.5, 0.5]] + [[0.5 + 0.1 * i, 0.6, 0.7] for i in range(1, 9)])
+    few = _constraint_counts(reg, target, rivals[:1])
+    many = _constraint_counts(reg, target, rivals)
+    # the simplex, the ball, the rivals, and all linear constraints as one
+    assert few and many
+    assert set(few) == set(many) == {3 + bool(reg.constraints)}
+
+
+def test_exists_weak_optimum_rival_forms_agree():
+    rng = np.random.default_rng(17)
+    regs = [
+        ball_region((0.4, 0.6), 0.2),
+        WeightRegion(3, (LinearConstraint((1.0, -1.0, 0.0), 0.1),)),
+        ball_region((0.3, 0.3, 0.4), 0.2),
+    ]
+    decisions = []
+    for reg in regs:
+        d = reg.dim
+        for _ in range(6):
+            rows = np.round(rng.uniform(size=(6, d)), 2)
+            t = rows[0]
+            rivals = np.vstack([rows[1:], t, t])  # copies of the target are exempt
+            target = Tuple("t", tuple(t))
+            for strict in (True, False):
+                forms = [
+                    rivals,
+                    [Tuple(f"r{i}", tuple(r)) for i, r in enumerate(rivals)],
+                    (tuple(map(float, r)) for r in rivals),
+                    np.vstack([t, rows[1:]]),
+                ]
+                got = {exists_weak_optimum(reg, target, f, strict)[0] for f in forms}
+                assert len(got) == 1
+                decisions.append(got.pop())
+        ok, w = exists_weak_optimum(reg, np.full(d, 0.5), np.empty((0, d)), strict=True)
+        assert ok and reg.contains(w)
+    assert 0 < sum(decisions) < len(decisions)  # both answers occur
+
+
+def test_exists_weak_optimum_rejects_a_rival_of_another_dimension():
+    reg = full_simplex(2)
+    target = Tuple("t", (1.0, 2.0))
+    for rivals in (
+        np.ones((3, 3)),
+        [Tuple("a", (2.0, 1.0)), Tuple("b", (1.0, 1.0, 1.0))],
+        [(2.0, 1.0), (1.0,)],
+    ):
+        with pytest.raises(ValueError, match="rival dimension"):
+            exists_weak_optimum(reg, target, rivals)

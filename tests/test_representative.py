@@ -120,3 +120,19 @@ def test_exact_budget_guard():
         )
         with pytest.raises(ValueError):
             dominance_representative(big, 15, mode="exact")
+
+
+@pytest.mark.parametrize("elems", [1, 7, 1 << 15])
+def test_covered_mask_is_pareto_dominance_at_any_block_size(elems):
+    from unittest import mock
+
+    from skyselect import arrangement
+    from skyselect.representative import _covered
+
+    a = generate("anticorrelated", 300, 3, 5).attr_array()
+    rows = list(range(0, 300, 7))
+    q = a[rows]
+    below, above = q[:, None, :] <= a[None, :, :], q[:, None, :] < a[None, :, :]
+    expect = below.all(axis=2) & above.any(axis=2)
+    with mock.patch.object(arrangement, "_BLOCK_ELEMS", elems):
+        assert np.array_equal(_covered(a, rows), expect)
