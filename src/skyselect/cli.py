@@ -155,6 +155,7 @@ def _run_operator(args, ds: Dataset) -> dict:
         res = fn(ds, w, m, k_depth=args.kdepth)
         out["ids"] = list(res.ids)
         out["rhoStar"] = res.rho_star
+        out["exact"] = res.exact
     elif op in ("utk1", "utk2"):
         k = _need(args, "k")
         if k < 1:

@@ -60,11 +60,17 @@ class UnreachableSizeError(ValueError):
 
 @dataclass(frozen=True)
 class OssResult:
-    """Chosen ids (already ranked), the radius found, and the depth used."""
+    """Chosen ids (already ranked), the radius found, and the depth used.
+
+    ``exact`` is true when ``rho_star`` is a closed form (two dimensions);
+    beyond that the radius is bisected and, for ``oru`` with ``k_depth`` > 1,
+    membership is sampled.
+    """
 
     ids: tuple[str, ...]
     rho_star: float
     k_depth: int
+    exact: bool
 
 
 def rho_dominates(r1: Tuple, r2: Tuple, w: Sequence[float], rho: float) -> bool:
@@ -187,7 +193,7 @@ def ord_query(ds: Dataset, w: Sequence[float], m: int, k_depth: int = 1) -> OssR
     if ds.dim == 2:
         rho_star, survivors = _least_radius_d2(ds, wv, m, k_depth)
         ranked = _rank_by_score(ds, wv, survivors)[:m]
-        return OssResult(tuple(ranked), rho_star, k_depth)
+        return OssResult(tuple(ranked), rho_star, k_depth, True)
 
     a = ds.attr_array()
 
@@ -202,7 +208,7 @@ def ord_query(ds: Dataset, w: Sequence[float], m: int, k_depth: int = 1) -> OssR
             raise UnreachableSizeError(m, achievable)
         rho_star, at = _bisect_least_radius(count_at, m)
     ranked = _rank_by_score(ds, wv, _survivors(a, wv, at, k_depth))[:m]
-    return OssResult(tuple(ranked), rho_star, k_depth)
+    return OssResult(tuple(ranked), rho_star, k_depth, False)
 
 
 def _member_general(a: np.ndarray, i: int, w: np.ndarray, rho: float, k_depth: int) -> bool:
@@ -259,7 +265,7 @@ def _oru_d2(ds: Dataset, w: np.ndarray, m: int, k_depth: int) -> OssResult:
     a, ids = ds.attr_array(), ds.ids()
     at_w = _members(a, w, 0.0, k_depth)
     if at_w.sum() >= m:
-        return OssResult(tuple(_rank_by_score(ds, w, at_w)[:m]), 0.0, k_depth)
+        return OssResult(tuple(_rank_by_score(ds, w, at_w)[:m]), 0.0, k_depth, True)
     w1 = float(w[0])
     left, right = arrangement.reach(a, w1, k_depth)
     entry = np.minimum(w1 - left, right - w1)
@@ -273,10 +279,11 @@ def _oru_d2(ds: Dataset, w: np.ndarray, m: int, k_depth: int) -> OssResult:
     chosen = order[group <= group[m - 1]]
     if len(chosen) <= m:
         members = np.isin(np.arange(len(a)), chosen)
-        return OssResult(tuple(_rank_by_score(ds, w, members)[:m]), RHO_MAX * h_star, k_depth)
+        ranked = _rank_by_score(ds, w, members)[:m]
+        return OssResult(tuple(ranked), RHO_MAX * h_star, k_depth, True)
     # overshoot: rank by entry radius, tied radii by score at w, then id
     keyed = sorted((int(g), float(a[i] @ w), ids[i]) for g, i in zip(group, chosen))
-    return OssResult(tuple(tid for _, _, tid in keyed[:m]), RHO_MAX * h_star, k_depth)
+    return OssResult(tuple(tid for _, _, tid in keyed[:m]), RHO_MAX * h_star, k_depth, True)
 
 
 def oru_query(ds: Dataset, w: Sequence[float], m: int, k_depth: int = 1) -> OssResult:
@@ -315,7 +322,7 @@ def oru_query(ds: Dataset, w: Sequence[float], m: int, k_depth: int = 1) -> OssR
 
     if members.sum() <= m:
         ranked = _rank_by_score(ds, wv, members)[:m]
-        return OssResult(tuple(ranked), rho_star, k_depth)
+        return OssResult(tuple(ranked), rho_star, k_depth, False)
 
     # overshoot: order by entry radius, grouped at the search tolerance
     keyed = []
@@ -324,4 +331,4 @@ def oru_query(ds: Dataset, w: Sequence[float], m: int, k_depth: int = 1) -> OssR
         entry = 0.0 if member_fn(0.0) else _bisect_least_radius(member_fn, 1, at)[0]
         keyed.append((round(entry / _RADIUS_GROUP), float(a[i] @ wv), ids[i]))
     keyed.sort()
-    return OssResult(tuple(tid for _, _, tid in keyed[:m]), rho_star, k_depth)
+    return OssResult(tuple(tid for _, _, tid in keyed[:m]), rho_star, k_depth, False)

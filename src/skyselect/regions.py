@@ -19,9 +19,12 @@ Optimization strategy:
   minimizer has a closed form, so enumerating the 2^d - 1 faces finds it.
   This serves ``nd``/``po`` on a ball, ``non_rho_dominated``, ``ord`` and
   every ``linear_range`` there;
-* a ball intersected with linear constraints in dimension >= 3, or a ball
-  beyond ``MAX_VERTEX_DIM``: numeric, by sequential quadratic programming
-  seeded from alternating-projection feasible points. The existence test of
+* a ball intersected with linear constraints in dimension 3 up to
+  ``MAX_VERTEX_DIM``, or a ball alone beyond it: numeric, by sequential
+  quadratic programming started from the region's point nearest the ball
+  center. That point is exact (:func:`find_feasible_point`), so emptiness is
+  decided exactly; a ball with constraints beyond ``MAX_VERTEX_DIM`` is
+  unsupported, as is the polytope without the ball. The existence test of
   ``exists_weak_optimum`` on a ball (``po``, ``oru``) is numeric too, and
   reads the solver's status.
 """
@@ -268,46 +271,14 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v + lam, 0.0)
 
 
-def _project_halfspace(v: np.ndarray, con: LinearConstraint) -> np.ndarray:
-    a = np.asarray(con.coeffs)
-    viol = float(a @ v) - con.rhs
-    if viol <= 0.0:
-        return v
-    return v - viol * a / float(a @ a)
-
-
-def _project_ball(v: np.ndarray, ball: Ball) -> np.ndarray:
-    c = np.asarray(ball.center)
-    delta = v - c
-    n = float(np.linalg.norm(delta))
-    if n <= ball.radius:
-        return v
-    return c + delta * (ball.radius / n)
-
-
-def _pocs_point(reg: WeightRegion, start: np.ndarray | None = None, iters: int = 2000) -> np.ndarray:
-    """Alternating projections onto simplex, halfspaces and ball."""
-    if start is None:
-        if reg.ball is not None:
-            x = np.asarray(reg.ball.center, dtype=float).copy()
-        else:
-            x = np.full(reg.dim, 1.0 / reg.dim)
-    else:
-        x = np.asarray(start, dtype=float).copy()
-    for _ in range(iters):
-        prev = x
-        x = _project_simplex(x)
-        for con in reg.constraints:
-            x = _project_halfspace(x, con)
-        if reg.ball is not None:
-            x = _project_ball(x, reg.ball)
-        if float(np.max(np.abs(x - prev))) < 1e-13:
-            break
-    return _project_simplex(x)
-
-
 def find_feasible_point(reg: WeightRegion) -> np.ndarray | None:
-    """A point of the region closure, or None when the region looks empty."""
+    """A point of the region closure, or None when the region is empty.
+
+    A polytope gives its vertex mean and a 2-d region its interval midpoint.
+    A ball gives the region's point nearest its center: the center projected
+    onto the simplex when there are no constraints, else the nearest of
+    :func:`_section_centers`.
+    """
     if reg.ball is None:
         try:
             verts = region_vertices(reg)
@@ -321,10 +292,17 @@ def find_feasible_point(reg: WeightRegion) -> np.ndarray | None:
             return None
         mid = 0.5 * (lo + hi)
         return np.array([mid, 1.0 - mid])
-    x = _pocs_point(reg)
-    if _contains_closure(reg, x, 1e-7):
-        return x
-    return None
+    w = _project_simplex(np.asarray(reg.ball.center, dtype=float))
+    if not reg.constraints:
+        return w
+    if reg.dim > MAX_VERTEX_DIM:
+        raise UnsupportedDimensionError(
+            f"a ball with constraints supports dim <= {MAX_VERTEX_DIM}, got {reg.dim}"
+        )
+    centers = _section_centers(reg)
+    if not len(centers):
+        return None
+    return centers[int(np.argmin(((centers - w) ** 2).sum(axis=1)))].copy()
 
 
 def is_empty(reg: WeightRegion) -> bool:
@@ -407,6 +385,49 @@ def _face_values(c: np.ndarray, masks, first, p, r):
     return cp, chat, nrm, low_ok, high_ok
 
 
+@lru_cache(maxsize=256)
+def _section_centers(reg: WeightRegion) -> np.ndarray:
+    """Centers of the ball's sections by the faces of simplex ∩ constraints.
+
+    For each face F the ball reaches (:func:`_ball_sections`) and each set K
+    of fewer than |F| constraints, holding K at equality cuts F's affine hull
+    in a flat. With G the rows of K and Ĝ those rows projected onto F's
+    directions, the flat's point nearest the ball center w is
+    p_F - Ĝᵀ(ĜĜᵀ)⁻¹(G p_F - h_K); K is skipped when ĜĜᵀ is singular, and
+    the point is dropped when its step from p_F is longer than r_F or it lies
+    outside the simplex or a constraint. The projection of w onto simplex ∩
+    constraints lies inside one face of that polytope, whose hull is one of
+    these flats, so the kept center nearest w is that projection, and none
+    is kept exactly when the region is empty. There are
+    sum_F sum_{k<|F|} C(m, k) flats, bounded like vertex enumeration.
+    """
+    masks, first, p, r = _ball_sections(reg.ball)
+    coeffs, rhs = _constraint_arrays(reg)
+    kept = []
+    for mask, f, pf, rf in zip(masks, first, p, r):
+        size = int(mask.sum())
+        for k in range(min(size, len(rhs) + 1)):
+            for rows in map(list, itertools.combinations(range(len(rhs)), k)):
+                g = coeffs[rows]
+                # differences to F's first coordinate: a row constant on F
+                # projects to exactly 0, so its Gram matrix is singular
+                delta = np.where(mask, g - g[:, f : f + 1], 0.0)
+                ghat = np.where(mask, delta - delta.sum(axis=1, keepdims=True) / size, 0.0)
+                try:
+                    y = np.linalg.solve(ghat @ ghat.T, g @ pf - rhs[rows])
+                except np.linalg.LinAlgError:
+                    continue
+                step = ghat.T @ y
+                x = pf - step
+                if (
+                    float(np.linalg.norm(step)) <= rf
+                    and (x >= -FACE_TOL).all()
+                    and (coeffs @ x - rhs <= CONTAIN_TOL).all()
+                ):
+                    kept.append(np.maximum(x, 0.0))
+    return _frozen(np.array(kept).reshape(-1, reg.dim))[0]
+
+
 def simplex_ball_range(c: np.ndarray, ball: Ball) -> tuple[np.ndarray, np.ndarray]:
     """Exact (min, max) of ``c_j . v`` over simplex ∩ ball, for every row c_j of c.
 
@@ -448,22 +469,6 @@ def _simplex_ball_argmin(c: np.ndarray, ball: Ball) -> tuple[float, np.ndarray]:
     if low_ok[f, 0] and nrm[f, 0] > 0.0:
         x = x - r[f] * chat[:, f, 0] / nrm[f, 0]
     return float(vals[f]), np.maximum(x, 0.0)
-
-
-def _guided_point(reg: WeightRegion, c: np.ndarray) -> np.ndarray | None:
-    """A region point near where ``c . v`` is least, as a solver start.
-
-    Alternating projections from the ball center moved by the radius
-    against the in-plane direction of c; None when c has no such direction
-    or the projections do not reach the region.
-    """
-    ball = reg.ball
-    ct = c - c.mean()
-    nrm = float(np.linalg.norm(ct))
-    if nrm <= 1e-15:
-        return None
-    x = _pocs_point(reg, start=np.asarray(ball.center, dtype=float) - ball.radius * ct / nrm)
-    return x if _contains_closure(reg, x, 1e-7) else None
 
 
 def _constraint_arrays(reg: WeightRegion) -> tuple[np.ndarray, np.ndarray]:
@@ -514,33 +519,22 @@ def _minimize_linear_numeric(reg: WeightRegion, c: np.ndarray) -> tuple[float, n
     x0 = find_feasible_point(reg)
     if x0 is None:
         raise EmptyRegionError("empty region")
-    cons = _slsqp_constraints(reg, 0)
-
-    guided = _guided_point(reg, c)
-    starts = [x0] if guided is None else [x0, guided]
-
-    best_val = float(c @ x0)
-    best_x = x0
-    for s in starts:
-        res = optimize.minimize(
-            lambda v: float(c @ v),
-            s,
-            jac=lambda v: c,
-            method="SLSQP",
-            bounds=[(0.0, 1.0)] * d,
-            constraints=cons,
-            options={"ftol": 1e-14, "maxiter": 400},
-        )
-        if res.x is None:
-            continue
+    res = optimize.minimize(
+        lambda v: float(c @ v),
+        x0,
+        jac=lambda v: c,
+        method="SLSQP",
+        bounds=[(0.0, 1.0)] * d,
+        constraints=_slsqp_constraints(reg, 0),
+        options={"ftol": 1e-14, "maxiter": 400},
+    )
+    best_val, best_x = float(c @ x0), x0
+    if res.x is not None:
+        # SLSQP may end just outside the ball: pull it back radially
         x = np.asarray(res.x, dtype=float)
-        if not _contains_closure(reg, x, CONTAIN_TOL):
-            # SLSQP may end just outside the ball: project back onto the region
-            x = _pocs_point(reg, start=x)
-        if _contains_closure(reg, x, 1e-7):
-            val = float(c @ x)
-            if val < best_val:
-                best_val, best_x = val, x
+        x = w + (x - w) * (rho / max(float(np.linalg.norm(x - w)), rho))
+        if _contains_closure(reg, x, 1e-7) and float(c @ x) < best_val:
+            best_val, best_x = float(c @ x), x
     return best_val, best_x
 
 
@@ -660,15 +654,6 @@ def _as_attr_vector(x) -> np.ndarray:
     return np.asarray(getattr(x, "attrs", x), dtype=float)
 
 
-def _interior_point(reg: WeightRegion) -> np.ndarray:
-    if reg.ball is not None:
-        return np.asarray(reg.ball.center, dtype=float)
-    try:
-        return region_vertices(reg).mean(axis=0)
-    except EmptyRegionError:
-        return np.full(reg.dim, 1.0 / reg.dim)
-
-
 def _exists_numeric_ball(reg: WeightRegion, diffs: np.ndarray) -> tuple[float, np.ndarray]:
     ball = reg.ball
     assert ball is not None
@@ -700,16 +685,12 @@ def _exists_numeric_ball(reg: WeightRegion, diffs: np.ndarray) -> tuple[float, n
 
     ok, x = solve(x0)
     points = [x]
-    if not ok:
-        # retry once from where the mean rival difference is least (exact on
-        # a ball alone); the better certified witness wins
-        mean = diffs.mean(axis=0)
-        if _enumerable_ball(reg):
-            start = _simplex_ball_argmin(mean, ball)[1]
-        else:
-            start = _guided_point(reg, mean)
-        if start is not None:
-            points += [start, solve(start)[1]]
+    if not ok and d <= MAX_VERTEX_DIM:
+        # retry once from where the mean rival difference is least on the
+        # ball alone; SLSQP accepts a start outside the constraints, and the
+        # better certified witness wins
+        start = _simplex_ball_argmin(diffs.mean(axis=0), ball)[1]
+        points += [start, solve(start)[1]]
     best_val = float(np.max(diffs @ x0))
     best_x = x0
     for x in points:
@@ -731,8 +712,8 @@ def exists_weak_optimum(
     against every rival whose attribute vector differs from the target's.
     Decisions are certified on an explicit witness: the
     returned vector achieves max-gap <= 1e-12 (weak) or < -1e-12 (strict).
-    Witnesses violating a strict region constraint are nudged toward the
-    region interior before being rejected.
+    Witnesses violating a strict region constraint are nudged toward
+    :func:`find_feasible_point` before being rejected.
     """
     t = _as_attr_vector(target)
     if not isinstance(rivals, np.ndarray):
@@ -759,9 +740,9 @@ def exists_weak_optimum(
     def finish(v: np.ndarray) -> tuple[bool, np.ndarray | None]:
         if reg.contains(v):
             return True, v
-        interior = _interior_point(reg)
+        anchor = find_feasible_point(reg)
         for theta in (1e-9, 1e-7, 1e-5, 1e-3, 1e-2):
-            shifted = (1.0 - theta) * v + theta * interior
+            shifted = (1.0 - theta) * v + theta * anchor
             if reg.contains(shifted) and admissible(shifted):
                 return True, shifted
         return False, None

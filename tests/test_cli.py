@@ -38,6 +38,22 @@ def test_query_ord(capsys, d1_csv):
     assert float(val) == pytest.approx(0.353553, abs=1e-5)
 
 
+@pytest.mark.parametrize("op", ["ord", "oru"])
+def test_query_oss_json_reports_exact(capsys, d1_csv, tmp_path, op):
+    code, out, _ = run(
+        capsys,
+        "query", op, "--data", d1_csv, "--weights", "0.5,0.5", "--m", "3", "--format", "json",
+    )
+    assert code == 0 and json.loads(out)["exact"] is True
+    d3 = tmp_path / "d3.csv"
+    d3.write_text("id,a1,a2,a3\nx,1,2,3\ny,3,2,1\nz,2,1,3\nu,2,2,2\n")
+    code, out, _ = run(
+        capsys,
+        "query", op, "--data", str(d3), "--weights", "0.4,0.3,0.3", "--m", "2", "--format", "json",
+    )
+    assert code == 0 and json.loads(out)["exact"] is False
+
+
 def test_query_topk_invalid_k(capsys, d1_csv):
     code, _, err = run(
         capsys, "query", "topk", "--data", d1_csv, "--weights", "0.5,0.5", "--k", "0"
@@ -114,6 +130,22 @@ def test_query_nd_ball(capsys, d1_csv):
     # rho without weights is a usage error
     code, _, _ = run(capsys, "query", "nd", "--data", d1_csv, "--rho", "0.1")
     assert code == 2
+
+
+def test_query_nd_on_a_ball_with_constraints_far_from_its_center(capsys, tmp_path):
+    # the ball's center breaks the second cut; the region is a thin sliver
+    # near (0.12, 0.77, 0.11), where tuple y is best
+    data = tmp_path / "d3.csv"
+    data.write_text("id,a1,a2,a3\nx,1,2,3\ny,3,1,2\nz,2,3,1\n")
+    reg = tmp_path / "reg.txt"
+    reg.write_text("1.01 w1 + 1.9 w2 + 1.78 w3 >= 1.78\n-0.8 w1 + 0.22 w2 + 0.34 w3 <= 0.12\n")
+    code, out, err = run(
+        capsys,
+        "query", "nd", "--data", str(data), "--region", str(reg),
+        "--weights", "0.47,0.33,0.2", "--rho", "0.6",
+    )
+    assert code == 0, err
+    assert out == "y\n"
 
 
 def test_query_utk2_csv(capsys, d1_csv, tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from skyselect import (
+    Ball,
     Dataset,
     LinearConstraint,
     Tuple,
@@ -11,6 +12,7 @@ from skyselect import (
     f_dominates,
     full_simplex,
     generate,
+    grid_sample,
     nd,
     po,
     skyline,
@@ -144,3 +146,51 @@ def test_duplicate_attribute_tuples():
     # twins never strictly beat each other; both stay in nd and po
     assert nd(ds, full_simplex(2)) == {"x", "y"}
     assert po(ds, full_simplex(2)) == {"x", "y"}
+
+
+# (seed, member, ball center, constraint, bound, radius): the data is
+# generate("anticorrelated", 12, 4, seed) and the region is drawn from
+# default_rng(seed) as w ~ Dirichlet(1), c ~ N(0, I), b = c . Dirichlet(3) + 0.02
+# and rho ~ U(0.1, 0.4); in each, the ball's center breaks the constraint
+PO_BALL_CASES = [
+    (
+        318,
+        "8",
+        (0.2969154842538411, 0.02198340572369694, 0.29948107601703344, 0.3816200340054286),
+        (0.861564535022596, -1.922443628344717, 0.4495176091963612, 0.7948861398931771),
+        0.018919741909314773,
+        0.32792368878037614,
+    ),
+    (
+        476,
+        "1",
+        (0.0137755314321459, 0.32575349873110054, 0.05742775012229577, 0.6030432197144577),
+        (-0.700326072326751, 1.788780038577875, -0.3107769259568243, -0.2730257888278926),
+        -0.02766364404455061,
+        0.33625779605686634,
+    ),
+    (
+        524,
+        "3",
+        (0.07249071724940381, 0.12357980314004656, 0.6567919686242769, 0.1471375109862728),
+        (0.9143005494613984, 0.7076493642200856, 0.2533848773795351, -1.09775117119295),
+        0.01978377672960798,
+        0.24882441824487075,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "seed, member, w, c, b, rho", PO_BALL_CASES, ids=[str(case[0]) for case in PO_BALL_CASES]
+)
+def test_po_on_a_ball_with_a_constraint_keeps_a_clear_member(seed, member, w, c, b, rho):
+    ds = generate("anticorrelated", 12, 4, seed)
+    reg = WeightRegion(4, (LinearConstraint(c, b),), Ball(w, rho))
+    pts = np.array(grid_sample(reg, 100))
+    scores = pts @ ds.attr_array().T
+    i = ds.ids().index(member)
+    margin = np.delete(scores, i, axis=1).min(axis=1) - scores[:, i]
+    best = int(np.argmax(margin))
+    # the witness: a point of the region where the member is strictly best
+    assert margin[best] > 0.01 and reg.contains(pts[best])
+    assert member in po(ds, reg)

@@ -166,6 +166,18 @@ def test_oss_d3_paths():
     assert len(u.ids) == 2
 
 
+def test_exact_flag_is_set_only_for_closed_form_radii(d1):
+    # two dimensions: rhoStar is an order statistic of closed-form radii
+    for m in (1, 3):
+        assert ord_query(d1, W, m).exact and oru_query(d1, W, m).exact
+    # three: the radius is bisected
+    ds = generate("independent", 12, 3, 5)
+    w = (1 / 3, 1 / 3, 1 / 3)
+    for k_depth in (1, 2):
+        assert not ord_query(ds, w, 3, k_depth).exact
+        assert not oru_query(ds, w, 2, k_depth).exact
+
+
 def test_ord_kdepth_relaxes_more(d1):
     rng = np.random.default_rng(47)
     for _ in range(10):

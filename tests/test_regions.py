@@ -213,6 +213,64 @@ def test_feasibility_and_emptiness():
     assert v is not None and ok.contains(v)
 
 
+# the ball's center breaks the second cut, and the region is a thin sliver
+# near (0.12, 0.77, 0.11)
+SLIVER = WeightRegion(
+    3,
+    (
+        LinearConstraint((-1.01, -1.9, -1.78), -1.78),
+        LinearConstraint((-0.8, 0.22, 0.34), 0.12),
+    ),
+    Ball((0.47, 0.33, 0.2), 0.6),
+)
+
+
+def test_ball_with_constraints_sliver_is_not_empty():
+    assert SLIVER.contains((0.12, 0.77, 0.11))
+    assert len(grid_sample(SLIVER, 100)) == 5
+    assert not is_empty(SLIVER)
+    assert SLIVER.contains(find_feasible_point(SLIVER))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_ball_with_constraints_feasible_point_is_nearest_the_center(d):
+    # the feasible point is the projection of the center onto simplex ∩
+    # constraints, so no lattice point of the region lies nearer the center
+    rng = np.random.default_rng(70 + d)
+    checked = 0
+    for trial in range(60):
+        w = rng.dirichlet(np.ones(d))
+        cuts = rng.normal(size=(1 + trial % 2, d))
+        bounds = (cuts * rng.dirichlet(3 * np.ones(d), size=len(cuts))).sum(axis=1) + 0.02
+        reg = WeightRegion(
+            d,
+            tuple(LinearConstraint(c, b) for c, b in zip(cuts, bounds)),
+            Ball(tuple(w), float(rng.uniform(0.05, 0.5))),
+        )
+        v = find_feasible_point(reg)
+        assert v is None or reg.contains(v)
+        pts = np.array(grid_sample(reg, 64))
+        if len(pts):
+            assert v is not None
+            assert np.linalg.norm(v - w) <= np.linalg.norm(pts - w, axis=1).min() + 1e-9
+            checked += 1
+    assert checked >= 20
+
+
+def test_ball_with_constraints_past_max_vertex_dim_is_unsupported():
+    d = regions.MAX_VERTEX_DIM + 1
+    cut = (LinearConstraint((1.0,) + (0.0,) * (d - 1), 0.5),)
+    with pytest.raises(UnsupportedDimensionError):
+        region_vertices(WeightRegion(d, cut))
+    reg = WeightRegion(d, cut, Ball((1.0 / d,) * d, 0.3))
+    with pytest.raises(UnsupportedDimensionError):
+        find_feasible_point(reg)
+    with pytest.raises(UnsupportedDimensionError):
+        minimize_linear(reg, np.arange(d, dtype=float))
+    # a ball alone keeps its numeric path there
+    assert find_feasible_point(ball_region((1.0 / d,) * d, 0.3)) is not None
+
+
 def _d1_tuples():
     return {
         "a": Tuple("a", (1.0, 5.0)),
